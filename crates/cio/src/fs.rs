@@ -55,9 +55,7 @@ use sio_fskit::file::{FileSpec, FileState};
 use sio_fskit::mode::AccessMode;
 use sio_fskit::pump::{backoff_delay, FailoverPolicy, NodeLoad, NodeTick, SegmentPump};
 use sio_fskit::table::{MetaStats, MetaVerdict};
-use sio_fskit::{
-    FaultRouter, FileTable, MetaServer, SyncLedger, SyncWaiter, TimerLanes, TraceRecorder,
-};
+use sio_fskit::{FaultRouter, FileTable, MetaServer, SyncLedger, SyncWaiter, TraceRecorder};
 
 use crate::partition::{self, Domain, Extent};
 
@@ -204,9 +202,8 @@ pub struct Cio {
     /// Dispatched collectives (collective id → state).
     collectives: FastMap<u64, Collective>,
     next_coll: u64,
-    /// Timer-id lanes: per-I/O-node completion timers plus the dynamic
-    /// lane (faults, retries, timeouts, exchanges).
-    timers: TimerLanes,
+    /// Shared timer-id counter (faults, retries, timeouts, exchanges).
+    next_timer: u64,
     /// `Sync` commits parked until their file has no in-flight writes.
     syncs: SyncLedger,
     /// Per-node serial client copy path.
@@ -233,7 +230,7 @@ impl Cio {
         let cfg = CioConfig::from_machine(machine);
         let ionodes = machine.build_io_nodes();
         let faults = FaultRouter::new(schedule, ionodes.len());
-        let timers = TimerLanes::new(ionodes.len());
+        let next_timer = ionodes.len() as u64;
         let links = LinkState::healthy(ionodes.len());
         let pump = SegmentPump::new(
             ionodes,
@@ -256,7 +253,7 @@ impl Cio {
             exchange: FastMap::default(),
             collectives: FastMap::default(),
             next_coll: 0,
-            timers,
+            next_timer,
             syncs: SyncLedger::new(),
             client: ClientPath::new(),
             fault_params: machine.fault,
@@ -577,7 +574,7 @@ impl Cio {
     ) {
         if let Some(cid) = self
             .pump
-            .submit_seg(now, io, req, attempt, &mut self.timers, sched)
+            .submit_seg(now, io, req, attempt, &mut self.next_timer, sched)
         {
             let members = self
                 .collectives
@@ -656,7 +653,8 @@ impl Cio {
         if self.faults_enabled() && self.collectives.contains_key(&cid) {
             // Hard deadline: no collective hangs forever under a fault
             // schedule with no recovery.
-            let id = self.timers.alloc();
+            let id = self.next_timer;
+            self.next_timer += 1;
             self.timeout_timers.insert(id, cid);
             sched.timer(now + self.fault_params.request_timeout, id);
         }
@@ -852,7 +850,8 @@ impl Cio {
             domains,
         };
         if ready > now {
-            let id = self.timers.alloc();
+            let id = self.next_timer;
+            self.next_timer += 1;
             self.exchange.insert(id, pending);
             sched.timer(ready, id);
         } else {
@@ -917,7 +916,7 @@ impl Cio {
                             req,
                             0,
                             RejectReason::Down,
-                            &mut self.timers,
+                            &mut self.next_timer,
                             sched,
                         ) {
                             let members = self
@@ -988,7 +987,8 @@ impl Cio {
     /// Arm one backoff retry probe for a parked metadata RPC.
     fn park_meta(&mut self, now: SimTime, parked: ParkedMeta, sched: &mut Sched) {
         self.meta.note_retry();
-        let id = self.timers.alloc();
+        let id = self.next_timer;
+        self.next_timer += 1;
         self.parked_meta.insert(id, parked);
         sched.timer(
             now + backoff_delay(self.fault_params.retry_base, parked.attempt),
@@ -1235,11 +1235,11 @@ impl IoService for Cio {
     }
 
     fn on_start(&mut self, sched: &mut Sched) {
-        self.faults.arm_all(&mut self.timers, sched);
+        self.faults.arm_all(&mut self.next_timer, sched);
     }
 
     fn on_timer(&mut self, now: SimTime, timer: u64, sched: &mut Sched) {
-        if self.timers.is_node_timer(timer) {
+        if (timer as usize) < self.pump.len() {
             match self.pump.node_tick(now, timer, sched) {
                 NodeTick::Stale => debug_assert!(
                     self.faults_enabled(),

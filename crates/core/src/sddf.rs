@@ -15,7 +15,6 @@
 use crate::event::{IoEvent, IoOp};
 use crate::trace::{Trace, TraceMeta};
 use crate::{Error, Result};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 const MAGIC: &[u8; 4] = b"SDDF";
 const VERSION: u16 = 1;
@@ -40,76 +39,114 @@ const SCHEMA: [(&str, FieldType); 7] = [
     ("end_ns", FieldType::U64),
 ];
 
-/// Encode a trace into the self-describing binary format.
-pub fn to_bytes(trace: &Trace) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64 + trace.len() * 37);
-    buf.put_slice(MAGIC);
-    buf.put_u16(VERSION);
+/// Encoded size of one record: the sum of the [`SCHEMA`] field widths.
+const RECORD_SIZE: usize = 4 + 4 + 1 + 8 + 8 + 8 + 8;
+
+/// Encode a trace into the self-describing binary format. Multi-byte
+/// fields are big-endian.
+pub fn to_bytes(trace: &Trace) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(64 + trace.len() * RECORD_SIZE);
+    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(&VERSION.to_be_bytes());
 
     // --- metadata ---
     let label = trace.meta().label.as_bytes();
-    buf.put_u32(label.len() as u32);
-    buf.put_slice(label);
-    buf.put_u32(trace.meta().nodes);
-    buf.put_u64(trace.meta().wall_ns);
+    buf.extend_from_slice(&(label.len() as u32).to_be_bytes());
+    buf.extend_from_slice(label);
+    buf.extend_from_slice(&trace.meta().nodes.to_be_bytes());
+    buf.extend_from_slice(&trace.meta().wall_ns.to_be_bytes());
 
     // --- field descriptor table (the "self-describing" part) ---
-    buf.put_u16(SCHEMA.len() as u16);
+    buf.extend_from_slice(&(SCHEMA.len() as u16).to_be_bytes());
     for (name, ty) in SCHEMA {
-        buf.put_u8(name.len() as u8);
-        buf.put_slice(name.as_bytes());
-        buf.put_u8(ty as u8);
+        buf.push(name.len() as u8);
+        buf.extend_from_slice(name.as_bytes());
+        buf.push(ty as u8);
     }
 
     // --- records ---
-    buf.put_u64(trace.len() as u64);
+    buf.extend_from_slice(&(trace.len() as u64).to_be_bytes());
     for ev in trace.events() {
-        buf.put_u32(ev.node);
-        buf.put_u32(ev.file);
-        buf.put_u8(ev.op as u8);
-        buf.put_u64(ev.offset);
-        buf.put_u64(ev.bytes);
-        buf.put_u64(ev.start);
-        buf.put_u64(ev.end);
+        buf.extend_from_slice(&ev.node.to_be_bytes());
+        buf.extend_from_slice(&ev.file.to_be_bytes());
+        buf.push(ev.op as u8);
+        buf.extend_from_slice(&ev.offset.to_be_bytes());
+        buf.extend_from_slice(&ev.bytes.to_be_bytes());
+        buf.extend_from_slice(&ev.start.to_be_bytes());
+        buf.extend_from_slice(&ev.end.to_be_bytes());
     }
-    buf.freeze()
+    buf
 }
 
-fn need(buf: &impl Buf, n: usize, what: &str) -> Result<()> {
-    if buf.remaining() < n {
-        return Err(Error::Decode(format!(
-            "truncated while reading {what}: need {n} bytes, have {}",
-            buf.remaining()
-        )));
+/// Big-endian read cursor over an encoded trace. Every read is preceded by
+/// a [`Reader::need`] check, so the reads themselves never run short.
+struct Reader<'a> {
+    buf: &'a [u8],
+}
+
+impl<'a> Reader<'a> {
+    fn need(&self, n: usize, what: &str) -> Result<()> {
+        if self.buf.len() < n {
+            return Err(Error::Decode(format!(
+                "truncated while reading {what}: need {n} bytes, have {}",
+                self.buf.len()
+            )));
+        }
+        Ok(())
     }
-    Ok(())
+
+    fn bytes(&mut self, n: usize) -> &'a [u8] {
+        let (head, rest) = self.buf.split_at(n);
+        self.buf = rest;
+        head
+    }
+
+    fn array<const N: usize>(&mut self) -> [u8; N] {
+        self.bytes(N).try_into().expect("split_at returned N bytes")
+    }
+
+    fn u8(&mut self) -> u8 {
+        self.bytes(1)[0]
+    }
+
+    fn u16(&mut self) -> u16 {
+        u16::from_be_bytes(self.array())
+    }
+
+    fn u32(&mut self) -> u32 {
+        u32::from_be_bytes(self.array())
+    }
+
+    fn u64(&mut self) -> u64 {
+        u64::from_be_bytes(self.array())
+    }
 }
 
 /// Decode a trace previously produced by [`to_bytes`].
-pub fn from_bytes(mut buf: &[u8]) -> Result<Trace> {
-    need(&buf, 6, "header")?;
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
+pub fn from_bytes(buf: &[u8]) -> Result<Trace> {
+    let mut r = Reader { buf };
+    r.need(6, "header")?;
+    let magic: [u8; 4] = r.array();
     if &magic != MAGIC {
         return Err(Error::Decode(format!("bad magic {magic:?}")));
     }
-    let version = buf.get_u16();
+    let version = r.u16();
     if version != VERSION {
         return Err(Error::Decode(format!("unsupported version {version}")));
     }
 
-    need(&buf, 4, "label length")?;
-    let label_len = buf.get_u32() as usize;
-    need(&buf, label_len, "label")?;
-    let label = String::from_utf8(buf.copy_to_bytes(label_len).to_vec())
+    r.need(4, "label length")?;
+    let label_len = r.u32() as usize;
+    r.need(label_len, "label")?;
+    let label = String::from_utf8(r.bytes(label_len).to_vec())
         .map_err(|e| Error::Decode(format!("label not utf-8: {e}")))?;
-    need(&buf, 12, "run info")?;
-    let nodes = buf.get_u32();
-    let wall_ns = buf.get_u64();
+    r.need(12, "run info")?;
+    let nodes = r.u32();
+    let wall_ns = r.u64();
 
     // Verify the descriptor table matches the schema we know how to decode.
-    need(&buf, 2, "field count")?;
-    let nfields = buf.get_u16() as usize;
+    r.need(2, "field count")?;
+    let nfields = r.u16() as usize;
     if nfields != SCHEMA.len() {
         return Err(Error::Decode(format!(
             "schema mismatch: {nfields} fields, expected {}",
@@ -117,17 +154,17 @@ pub fn from_bytes(mut buf: &[u8]) -> Result<Trace> {
         )));
     }
     for (name, ty) in SCHEMA {
-        need(&buf, 1, "field name length")?;
-        let nlen = buf.get_u8() as usize;
-        need(&buf, nlen + 1, "field descriptor")?;
-        let fname = buf.copy_to_bytes(nlen);
-        if fname.as_ref() != name.as_bytes() {
+        r.need(1, "field name length")?;
+        let nlen = r.u8() as usize;
+        r.need(nlen + 1, "field descriptor")?;
+        let fname = r.bytes(nlen);
+        if fname != name.as_bytes() {
             return Err(Error::Decode(format!(
                 "field name mismatch: got {:?}, expected {name}",
-                String::from_utf8_lossy(&fname)
+                String::from_utf8_lossy(fname)
             )));
         }
-        let fty = buf.get_u8();
+        let fty = r.u8();
         if fty != ty as u8 {
             return Err(Error::Decode(format!(
                 "field {name} type mismatch: got {fty}, expected {}",
@@ -136,23 +173,22 @@ pub fn from_bytes(mut buf: &[u8]) -> Result<Trace> {
         }
     }
 
-    need(&buf, 8, "record count")?;
-    let count = buf.get_u64() as usize;
-    let record_size: usize = 4 + 4 + 1 + 8 + 8 + 8 + 8;
+    r.need(8, "record count")?;
+    let count = r.u64() as usize;
     let total = count
-        .checked_mul(record_size)
+        .checked_mul(RECORD_SIZE)
         .ok_or_else(|| Error::Decode(format!("record count {count} overflows")))?;
-    need(&buf, total, "records")?;
+    r.need(total, "records")?;
     let mut events = Vec::with_capacity(count);
     for _ in 0..count {
-        let node = buf.get_u32();
-        let file = buf.get_u32();
-        let opb = buf.get_u8();
+        let node = r.u32();
+        let file = r.u32();
+        let opb = r.u8();
         let op = IoOp::from_u8(opb).ok_or_else(|| Error::Decode(format!("bad op code {opb}")))?;
-        let offset = buf.get_u64();
-        let bytes = buf.get_u64();
-        let start = buf.get_u64();
-        let end = buf.get_u64();
+        let offset = r.u64();
+        let bytes = r.u64();
+        let start = r.u64();
+        let end = r.u64();
         let ev = IoEvent {
             node,
             file,
@@ -165,10 +201,10 @@ pub fn from_bytes(mut buf: &[u8]) -> Result<Trace> {
         ev.validate()?;
         events.push(ev);
     }
-    if buf.has_remaining() {
+    if !r.buf.is_empty() {
         return Err(Error::Decode(format!(
             "{} trailing bytes after records",
-            buf.remaining()
+            r.buf.len()
         )));
     }
     Ok(Trace::from_parts(
@@ -295,6 +331,20 @@ mod tests {
         // Any strict prefix must fail cleanly, never panic.
         for cut in 0..bytes.len() {
             assert!(from_bytes(&bytes[..cut]).is_err(), "prefix {cut} accepted");
+        }
+    }
+
+    #[test]
+    fn rejects_record_count_overflow() {
+        // The record count is the last header field; a count whose byte
+        // total overflows `usize` must be a decode error, not a panic or a
+        // giant allocation.
+        let mut bytes = to_bytes(&Tracer::new("empty").finish());
+        let n = bytes.len();
+        bytes[n - 8..].copy_from_slice(&u64::MAX.to_be_bytes());
+        match from_bytes(&bytes) {
+            Err(Error::Decode(msg)) => assert!(msg.contains("overflows"), "{msg}"),
+            other => panic!("expected an overflow decode error, got {other:?}"),
         }
     }
 

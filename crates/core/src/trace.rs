@@ -7,13 +7,6 @@
 //! per-node buffers back into exact capture order, so the frozen trace is
 //! byte-identical to what the old single-buffer capture produced.
 //!
-//! The per-node buffers double as the PDES trace lanes: under the sharded
-//! engine each lane is appended to only by its owning node's events (all
-//! tracing happens in the serial commit phase, so the global sequence
-//! stamps are allocated in serial order at every shard count), and the
-//! same seq-scatter merge reassembles the shard lanes deterministically —
-//! no shard-aware merge step exists or is needed.
-//!
 //! [`Tracer`] is the legacy shared handle, kept for genuinely multi-threaded
 //! capture (the `std::fs` instrumentation shim): it is cheap to clone and
 //! every clone feeds one locked buffer.
@@ -22,9 +15,8 @@
 //! metadata. All reductions, tables, and figures are computed from a `Trace`.
 
 use crate::event::{IoEvent, IoOp, Ns};
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Metadata describing a captured trace.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -280,14 +272,21 @@ impl Tracer {
         self.overhead_ns
     }
 
+    /// Lock the shared buffer. A panic while holding the lock cannot leave
+    /// the buffer half-updated (every critical section is a single push or
+    /// field store), so a poisoned lock is simply taken over.
+    fn lock(&self) -> MutexGuard<'_, TraceInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Record one event.
     pub fn record(&self, event: IoEvent) {
-        self.inner.lock().events.push(event);
+        self.lock().events.push(event);
     }
 
     /// Number of events captured so far.
     pub fn len(&self) -> usize {
-        self.inner.lock().events.len()
+        self.lock().events.len()
     }
 
     /// Whether nothing has been captured yet.
@@ -297,7 +296,7 @@ impl Tracer {
 
     /// Set run-level metadata (node count, wall time).
     pub fn set_run_info(&self, nodes: u32, wall_ns: Ns) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         inner.meta.nodes = nodes;
         inner.meta.wall_ns = wall_ns;
     }
@@ -306,7 +305,7 @@ impl Tracer {
     /// working but feed a now-empty buffer; `finish` is intended to be called
     /// once, after the run completes.
     pub fn finish(self) -> Trace {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         Trace {
             meta: std::mem::take(&mut inner.meta),
             events: std::mem::take(&mut inner.events),

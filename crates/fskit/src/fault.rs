@@ -4,8 +4,6 @@ use paragon_sim::engine::Sched;
 use paragon_sim::fault::{FaultDomain, FaultEvent, FaultSchedule, META_REPLICAS};
 use sio_core::hash::FastMap;
 
-use crate::lanes::TimerLanes;
-
 /// Delivers a deterministic [`FaultSchedule`] to a backend: each event is
 /// armed as one absolute-time timer at run start, and [`FaultRouter::take`]
 /// claims a fired timer back into its event. An empty schedule arms nothing,
@@ -50,13 +48,11 @@ impl FaultRouter {
     }
 
     /// Arm one timer per scheduled event, allocating ids from the backend's
-    /// dynamic timer lane in schedule order. Fault delivery mutates whatever
-    /// domain the event targets — boundary traffic under the PDES ownership
-    /// contract, which is safe because timers only ever fire in the serial
-    /// commit phase.
-    pub fn arm_all(&mut self, lanes: &mut TimerLanes, sched: &mut Sched) {
+    /// counter in schedule order.
+    pub fn arm_all(&mut self, ids: &mut u64, sched: &mut Sched) {
         for ev in self.schedule.clone().events() {
-            let id = lanes.alloc();
+            let id = *ids;
+            *ids += 1;
             self.timers.insert(id, *ev);
             sched.timer(ev.at, id);
         }

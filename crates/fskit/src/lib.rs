@@ -26,28 +26,21 @@
 //!   retry/replay for PPFS);
 //! * [`fault`] — [`FaultRouter`], timer-based delivery of a
 //!   [`paragon_sim::FaultSchedule`];
-//! * [`lanes`] — [`TimerLanes`], the partitioned timer-id space (fixed
-//!   per-I/O-node lanes, reserved singletons, one dynamic lane);
 //! * [`sync`] — [`SyncLedger`], parking/drain bookkeeping for `Sync`
 //!   commits;
 //! * [`recorder`] — [`TraceRecorder`], application-visible interval tracing
 //!   and completion plumbing shared by every verb handler.
 //!
 //! Determinism contract: every method that arms a timer takes the backend's
-//! [`TimerLanes`] allocator, which partitions the id space into fixed
-//! per-I/O-node lanes (timer id = node index — shard-count-invariant by
-//! construction), optional reserved singletons, and one dynamic lane
-//! allocated in serial-commit order. Id allocation order — and with it the
-//! engine's FIFO tie-breaking — is exactly what a hand-inlined
-//! implementation would produce, at every `--shards` count; see
-//! [`lanes`] for the invariance argument. The golden-trace suites pin
-//! this down byte-for-byte.
+//! timer-id counter (`ids: &mut u64`) so id allocation order — and with it
+//! the engine's FIFO tie-breaking — is exactly what a hand-inlined
+//! implementation would produce. The golden-trace suites pin this down
+//! byte-for-byte.
 
 pub mod client;
 pub mod config;
 pub mod fault;
 pub mod file;
-pub mod lanes;
 pub mod layout;
 pub mod mode;
 pub mod pump;
@@ -59,7 +52,6 @@ pub use client::ClientPath;
 pub use config::{FsConfig, DEFAULT_FILE_SLOT};
 pub use fault::FaultRouter;
 pub use file::{FileSpec, FileState};
-pub use lanes::TimerLanes;
 pub use layout::{Segment, StripeLayout};
 pub use mode::AccessMode;
 pub use pump::{FailoverPolicy, NodeLoad, NodeTick, PumpStats, RetrySeg, SegmentPump};

@@ -16,16 +16,12 @@
 //!   (write-behind data has nowhere else to go).
 //!
 //! Each I/O node's simulator state and its accepted-request accounting
-//! live together in one `IoLane`, the unit of state a PDES shard owns:
-//! everything inside a lane is touched only through that node's events
-//! (shard-local), while buddy failover and stripe replay — the two places
-//! a segment *changes lanes* — are boundary traffic that only ever runs
-//! in the serial commit phase. Backoff retries stay on their lane.
+//! live together in one `IoLane`, so everything a single node's events
+//! touch sits behind one index.
 //!
-//! Timer ids are drawn from the backend's [`TimerLanes`] allocator so the
-//! id sequence — and the engine's FIFO tie-breaking on it — is
-//! byte-identical to a hand-inlined implementation at every shard count
-//! (see [`crate::lanes`] for the invariance argument).
+//! Timer ids are allocated from the *backend's* counter (`ids: &mut u64`)
+//! so the id sequence — and the engine's FIFO tie-breaking on it — is
+//! byte-identical to a hand-inlined implementation.
 
 use paragon_sim::engine::Sched;
 use paragon_sim::ionode::{Completion, IoNodeSim, RejectReason, SegmentReq, SubmitOutcome};
@@ -33,7 +29,6 @@ use paragon_sim::raid::RaidError;
 use paragon_sim::{SimDuration, SimTime};
 use sio_core::hash::FastMap;
 
-use crate::lanes::TimerLanes;
 use crate::layout::{Segment, StripeLayout};
 use paragon_sim::program::IoFault;
 
@@ -122,9 +117,8 @@ pub enum NodeTick {
 /// the segment ids allocated for them, in dispatch order.
 pub type StagedExtent = (Vec<(u32, SegmentReq)>, Vec<u64>);
 
-/// One I/O node's shard-owned state: the queue/array simulator and the
-/// accepted-request accounting for that node, grouped so everything a
-/// single node's events touch lives behind one index.
+/// One I/O node's state: the queue/array simulator and the accepted-request
+/// accounting for that node.
 struct IoLane {
     sim: IoNodeSim,
     load: NodeLoad,
@@ -304,7 +298,7 @@ impl SegmentPump {
         bytes: u64,
         write: bool,
         owner: u64,
-        lanes: &mut TimerLanes,
+        ids: &mut u64,
         sched: &mut Sched,
     ) -> u32 {
         let mut segs = std::mem::take(&mut self.seg_scratch);
@@ -323,7 +317,7 @@ impl SegmentPump {
                 sequential: false,
                 failover: false,
             };
-            let gave_up = self.submit_seg(now, seg.io_node, req, 0, lanes, sched);
+            let gave_up = self.submit_seg(now, seg.io_node, req, 0, ids, sched);
             debug_assert!(gave_up.is_none(), "extent submission cannot give up");
             count += 1;
             self.stats.segments += 1;
@@ -343,19 +337,14 @@ impl SegmentPump {
         io: u32,
         req: SegmentReq,
         attempt: u32,
-        lanes: &mut TimerLanes,
+        ids: &mut u64,
         sched: &mut Sched,
     ) -> Option<u64> {
         match self.lanes[io as usize].sim.submit(now, req) {
             SubmitOutcome::Started => {
-                // Invariant (see `IoNodeModel::submit`): `Started` is only
+                // Invariant (see `IoNodeSim::submit`): `Started` is only
                 // returned after the request is parked as the in-service
-                // work, so `next_done()` is `Some`. This holds under the
-                // sharded engine too: services — and therefore every
-                // `IoNodeModel` — run only inside the coordinator's serial
-                // commit phase (`paragon_sim::pdes`), never concurrently
-                // with shard pre-stepping, so no cross-shard delivery can
-                // interleave between `submit` and `next_done`.
+                // work, so `next_done()` is `Some`.
                 let t = self.lanes[io as usize]
                     .sim
                     .next_done()
@@ -369,16 +358,14 @@ impl SegmentPump {
                 None
             }
             SubmitOutcome::Rejected(reason) => {
-                self.handle_rejection(now, io, req, attempt, reason, lanes, sched)
+                self.handle_rejection(now, io, req, attempt, reason, ids, sched)
             }
         }
     }
 
     /// A segment was rejected (or lost to a crash): back off and retry,
     /// fail over, park for replay, or report the owner for give-up,
-    /// according to the failover policy. Failover and replay re-route a
-    /// segment to a *different* lane — boundary traffic under the PDES
-    /// ownership contract (serial commit phase only).
+    /// according to the failover policy.
     #[allow(clippy::too_many_arguments)]
     pub fn handle_rejection(
         &mut self,
@@ -387,7 +374,7 @@ impl SegmentPump {
         req: SegmentReq,
         attempt: u32,
         reason: RejectReason,
-        lanes: &mut TimerLanes,
+        ids: &mut u64,
         sched: &mut Sched,
     ) -> Option<u64> {
         match self.policy {
@@ -399,12 +386,12 @@ impl SegmentPump {
                 // give-up against two healthy-but-busy nodes. Retry
                 // forever with capped backoff; the backlog drains.
                 RejectReason::QueueFull => {
-                    self.arm_retry(now, io, req, attempt, (attempt + 1).min(4), lanes, sched);
+                    self.arm_retry(now, io, req, attempt, (attempt + 1).min(4), ids, sched);
                     None
                 }
                 RejectReason::Down => {
                     if attempt < max_retries {
-                        self.arm_retry(now, io, req, attempt, attempt + 1, lanes, sched);
+                        self.arm_retry(now, io, req, attempt, attempt + 1, ids, sched);
                         None
                     } else if !req.failover {
                         // This node is unreachable: reconstruct from
@@ -414,7 +401,7 @@ impl SegmentPump {
                         let buddy = (io + 1) % self.lanes.len() as u32;
                         let mut r = req;
                         r.failover = true;
-                        self.submit_seg(now, buddy, r, 0, lanes, sched)
+                        self.submit_seg(now, buddy, r, 0, ids, sched)
                     } else {
                         // Primary and buddy both refused: the request
                         // cannot be served.
@@ -428,7 +415,7 @@ impl SegmentPump {
                     // Unbounded retries with capped backoff: write-behind
                     // data has nowhere else to go.
                     RejectReason::QueueFull => {
-                        self.arm_retry(now, io, req, attempt, (attempt + 1).min(4), lanes, sched)
+                        self.arm_retry(now, io, req, attempt, (attempt + 1).min(4), ids, sched)
                     }
                 }
                 None
@@ -444,12 +431,13 @@ impl SegmentPump {
         req: SegmentReq,
         attempt: u32,
         next_attempt: u32,
-        lanes: &mut TimerLanes,
+        ids: &mut u64,
         sched: &mut Sched,
     ) {
         self.stats.retries += 1;
         let delay = backoff_delay(self.retry_base, attempt);
-        let id = lanes.alloc();
+        let id = *ids;
+        *ids += 1;
         self.retry_timers.insert(
             id,
             RetrySeg {
@@ -577,20 +565,14 @@ impl SegmentPump {
     }
 
     /// Resubmit every segment parked against a recovered node.
-    pub fn resubmit_replays(
-        &mut self,
-        now: SimTime,
-        io: u32,
-        lanes: &mut TimerLanes,
-        sched: &mut Sched,
-    ) {
+    pub fn resubmit_replays(&mut self, now: SimTime, io: u32, ids: &mut u64, sched: &mut Sched) {
         let mine: Vec<(u32, SegmentReq)>;
         (mine, self.replay) = std::mem::take(&mut self.replay)
             .into_iter()
             .partition(|(n, _)| *n == io);
         for (n, req) in mine {
             self.stats.replayed += 1;
-            let gave_up = self.submit_seg(now, n, req, 0, lanes, sched);
+            let gave_up = self.submit_seg(now, n, req, 0, ids, sched);
             debug_assert!(gave_up.is_none(), "replay resubmission cannot give up");
         }
     }
@@ -678,14 +660,14 @@ mod tests {
         }
         let base = SimDuration::from_millis(50);
         let mut pump = SegmentPump::new(ionodes, FailoverPolicy::Buddy { max_retries: 2 }, base);
-        let mut lanes = TimerLanes::new(pump.len());
+        let mut ids = pump.len() as u64;
         let mut sched = Sched::default();
 
         // A max-slot-size aggregated segment occupies node 0...
         let big = DEFAULT_FILE_SLOT;
         let first = pump.stage_seg(0, big, true, 1);
         assert!(pump
-            .submit_seg(SimTime::ZERO, 0, first, 0, &mut lanes, &mut sched)
+            .submit_seg(SimTime::ZERO, 0, first, 0, &mut ids, &mut sched)
             .is_none());
 
         // ...so an equally large follow-up bounces QueueFull well past
@@ -694,13 +676,11 @@ mod tests {
         let mut now = SimTime::ZERO;
         let mut attempt = 0;
         for round in 0..12u32 {
-            // Dynamic-lane ids are allocated in submit order, one per round.
-            let armed = pump.len() as u64 + u64::from(round);
-            let gave_up = pump.submit_seg(now, 0, req, attempt, &mut lanes, &mut sched);
+            let armed = ids;
+            let gave_up = pump.submit_seg(now, 0, req, attempt, &mut ids, &mut sched);
             assert!(gave_up.is_none(), "round {round}: gave up on a busy node");
-            let r = pump
-                .take_retry(armed)
-                .unwrap_or_else(|| panic!("round {round}: no retry armed"));
+            assert_eq!(ids, armed + 1, "round {round}: no retry armed");
+            let r = pump.take_retry(armed).expect("armed retry");
             assert_eq!(r.io, 0, "round {round}: retry wandered off-node");
             assert!(r.attempt <= 4, "round {round}: attempt counter uncapped");
             now += backoff_delay(base, attempt);
@@ -718,7 +698,7 @@ mod tests {
             other => panic!("expected the first segment to complete, got {other:?}"),
         }
         assert!(pump
-            .submit_seg(t, 0, req, attempt, &mut lanes, &mut sched)
+            .submit_seg(t, 0, req, attempt, &mut ids, &mut sched)
             .is_none());
         assert_eq!(pump.owner_of(req.id), Some(2));
 

@@ -38,9 +38,7 @@ use sio_fskit::file::{FileSpec, FileState};
 use sio_fskit::mode::AccessMode;
 use sio_fskit::pump::{backoff_delay, FailoverPolicy, NodeLoad, NodeTick, SegmentPump};
 use sio_fskit::table::{MetaStats, MetaVerdict};
-use sio_fskit::{
-    FaultRouter, FileTable, MetaServer, SyncLedger, SyncWaiter, TimerLanes, TraceRecorder,
-};
+use sio_fskit::{FaultRouter, FileTable, MetaServer, SyncLedger, SyncWaiter, TraceRecorder};
 use std::collections::BTreeMap;
 
 pub use sio_fskit::client::ClientPath;
@@ -137,9 +135,7 @@ pub struct Pfs {
     seek_free: Vec<SimTime>,
     pending: FastMap<IoToken, Pending>,
     deferred: FastMap<u64, Deferred>,
-    /// Timer-id lanes: per-I/O-node completion timers plus the dynamic
-    /// lane for deferred completions, retries, deadlines, and faults.
-    timers: TimerLanes,
+    next_timer: u64,
     /// M_GLOBAL coalescing: file -> waiting participants.
     #[allow(clippy::type_complexity)]
     global_waiting: FastMap<u32, Vec<(IoToken, NodeId, SimTime, bool, u64)>>,
@@ -173,7 +169,7 @@ impl Pfs {
         let cfg = PfsConfig::from_machine(machine);
         let ionodes = machine.build_io_nodes();
         let faults = FaultRouter::new(schedule, ionodes.len());
-        let timers = TimerLanes::new(ionodes.len());
+        let next_timer = ionodes.len() as u64;
         let links = LinkState::healthy(ionodes.len());
         let pump = SegmentPump::new(
             ionodes,
@@ -194,7 +190,7 @@ impl Pfs {
             seek_free: Vec::new(),
             pending: FastMap::default(),
             deferred: FastMap::default(),
-            timers,
+            next_timer,
             global_waiting: FastMap::default(),
             sync_parked: FastMap::default(),
             syncs: SyncLedger::new(),
@@ -447,7 +443,8 @@ impl Pfs {
         if self.faults_enabled() && self.pending.contains_key(&token) {
             // Hard per-request deadline: no request hangs forever under a
             // fault schedule with no recovery.
-            let id = self.timers.alloc();
+            let id = self.next_timer;
+            self.next_timer += 1;
             self.timeout_timers.insert(id, token);
             sched.timer(now + self.fault_params.request_timeout, id);
         }
@@ -463,9 +460,9 @@ impl Pfs {
         attempt: u32,
         sched: &mut Sched,
     ) {
-        if let Some(token) = self
-            .pump
-            .submit_seg(now, io, req, attempt, &mut self.timers, sched)
+        if let Some(token) =
+            self.pump
+                .submit_seg(now, io, req, attempt, &mut self.next_timer, sched)
         {
             self.fault_stats.unavailable += 1;
             self.fail_token(token, IoFault::Unavailable, now, sched);
@@ -586,7 +583,7 @@ impl Pfs {
                             req,
                             0,
                             RejectReason::Down,
-                            &mut self.timers,
+                            &mut self.next_timer,
                             sched,
                         ) {
                             self.fault_stats.unavailable += 1;
@@ -653,7 +650,8 @@ impl Pfs {
     /// Arm one backoff retry probe for a parked metadata RPC.
     fn park_meta(&mut self, now: SimTime, parked: ParkedMeta, sched: &mut Sched) {
         self.meta.note_retry();
-        let id = self.timers.alloc();
+        let id = self.next_timer;
+        self.next_timer += 1;
         self.parked_meta.insert(id, parked);
         sched.timer(
             now + backoff_delay(self.fault_params.retry_base, parked.attempt),
@@ -810,7 +808,8 @@ impl Pfs {
                     let free = &mut self.seek_free[file as usize];
                     let acquire = (*free).max(now) + rpc;
                     *free = acquire;
-                    let id = self.timers.alloc();
+                    let id = self.next_timer;
+                    self.next_timer += 1;
                     self.deferred.insert(
                         id,
                         Deferred {
@@ -878,7 +877,8 @@ impl Pfs {
                 let offset = st.shared_pos;
                 st.shared_pos += req.bytes;
                 if acquire > now {
-                    let id = self.timers.alloc();
+                    let id = self.next_timer;
+                    self.next_timer += 1;
                     self.deferred.insert(
                         id,
                         Deferred {
@@ -1126,11 +1126,11 @@ impl IoService for Pfs {
     fn on_start(&mut self, sched: &mut Sched) {
         // Arm one absolute-time timer per scheduled fault event. Empty
         // schedule (the healthy case): no timers, bit-identical runs.
-        self.faults.arm_all(&mut self.timers, sched);
+        self.faults.arm_all(&mut self.next_timer, sched);
     }
 
     fn on_timer(&mut self, now: SimTime, timer: u64, sched: &mut Sched) {
-        if self.timers.is_node_timer(timer) {
+        if (timer as usize) < self.pump.len() {
             // An I/O node finished its in-service work. Stale timers happen
             // only under faults (a stall postponed the completion, or a
             // crash voided it); orphaned segments mean the owning request

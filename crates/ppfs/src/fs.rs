@@ -41,7 +41,6 @@ use sio_fskit::client::ClientPath;
 use sio_fskit::config::FsConfig;
 use sio_fskit::fault::FaultRouter;
 use sio_fskit::file::FileSpec;
-use sio_fskit::lanes::TimerLanes;
 use sio_fskit::mode::AccessMode;
 use sio_fskit::pump::{backoff_delay, FailoverPolicy, NodeLoad, NodeTick, SegmentPump};
 use sio_fskit::recorder::TraceRecorder;
@@ -174,9 +173,9 @@ pub struct Ppfs {
     server_caches: Vec<BlockCache>,
     /// Pending server-cache hit deliveries: timer id -> (node, file, blocks).
     fetch_hits: FastMap<u64, (NodeId, u32, Vec<u64>)>,
-    /// Timer-id lanes: per-I/O-node completion timers, the reserved flush
-    /// timer, then the dynamic lane (server hits, faults, retries).
-    timers: TimerLanes,
+    /// Next server-hit timer id (above the ionode and flush timer ids); also
+    /// allocates fault-event and backoff-retry timer ids.
+    next_timer: u64,
     /// Per-file policy advice (paper §10: advertised access patterns).
     advice: FastMap<u32, FileAdvice>,
     /// Scheduled fault delivery (armed at run start; empty on healthy runs).
@@ -224,7 +223,7 @@ impl Ppfs {
         } else {
             Vec::new()
         };
-        let timers = TimerLanes::with_reserved(ionodes.len(), 1);
+        let next_timer = ionodes.len() as u64 + 1;
         let cfg = FsConfig::from_machine(machine);
         Ppfs {
             policy,
@@ -250,7 +249,7 @@ impl Ppfs {
             client: ClientPath::new(),
             server_caches,
             fetch_hits: FastMap::default(),
-            timers,
+            next_timer,
             advice: FastMap::default(),
             faults,
             fault_params: machine.fault,
@@ -442,7 +441,7 @@ impl Ppfs {
             bytes,
             write,
             tid,
-            &mut self.timers,
+            &mut self.next_timer,
             sched,
         )
     }
@@ -477,7 +476,7 @@ impl Ppfs {
             FaultKind::NodeRecover => {
                 self.pump.recover(now, ev.io_node, sched);
                 self.pump
-                    .resubmit_replays(now, ev.io_node, &mut self.timers, sched);
+                    .resubmit_replays(now, ev.io_node, &mut self.next_timer, sched);
             }
             // PPFS has no mesh-collective phase, so a degraded link region
             // is felt entirely as stretched segment delivery into the
@@ -532,7 +531,8 @@ impl Ppfs {
     /// Arm one backoff retry probe for a parked metadata RPC.
     fn park_meta(&mut self, now: SimTime, parked: ParkedMeta, sched: &mut Sched) {
         self.meta.note_retry();
-        let id = self.timers.alloc();
+        let id = self.next_timer;
+        self.next_timer += 1;
         self.parked_meta.insert(id, parked);
         sched.timer(
             now + backoff_delay(self.fault_params.retry_base, parked.attempt),
@@ -624,7 +624,8 @@ impl Ppfs {
         }
         if !hit_blocks.is_empty() {
             self.stats.server_hits += hit_blocks.len() as u64;
-            let timer = self.timers.alloc();
+            let timer = self.next_timer;
+            self.next_timer += 1;
             let at = now + self.cfg.io_sw.server_per_request;
             self.fetch_hits.insert(timer, (node, file, hit_blocks));
             sched.timer(at, timer);
@@ -1242,11 +1243,11 @@ impl IoService for Ppfs {
     fn on_start(&mut self, sched: &mut Sched) {
         // Arm one absolute-time timer per scheduled fault event. Empty
         // schedule (the healthy case): no timers, bit-identical runs.
-        self.faults.arm_all(&mut self.timers, sched);
+        self.faults.arm_all(&mut self.next_timer, sched);
     }
 
     fn on_timer(&mut self, now: SimTime, timer: u64, sched: &mut Sched) {
-        if self.timers.is_node_timer(timer) {
+        if (timer as usize) < self.pump.len() {
             // An I/O node finished its in-service work. Stale timers happen
             // only under faults (a stall postponed the completion, or a
             // crash voided it): the re-armed timer covers the real time.
@@ -1285,7 +1286,7 @@ impl IoService for Ppfs {
             if self.pump.owns(r.req.id) {
                 let gave_up =
                     self.pump
-                        .submit_seg(now, r.io, r.req, r.attempt, &mut self.timers, sched);
+                        .submit_seg(now, r.io, r.req, r.attempt, &mut self.next_timer, sched);
                 debug_assert!(gave_up.is_none(), "stripe-pinned retry cannot give up");
             }
         } else if let Some((node, file, blocks)) = self.fetch_hits.remove(&timer) {
