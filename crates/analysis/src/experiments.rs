@@ -773,13 +773,19 @@ pub fn raid_degraded(machine: &MachineConfig) -> Vec<RaidRow> {
 pub fn raid_degraded_jobs(machine: &MachineConfig, jobs: usize) -> Vec<RaidRow> {
     use paragon_sim::mesh::Mesh;
     use paragon_sim::program::{NodeProgram, ScriptProgram};
-    use paragon_sim::Engine;
+    use paragon_sim::{Engine, FaultSchedule};
     use sio_core::trace::TraceSink;
+    use sio_fskit::FsShell;
     use sio_pfs::Pfs;
 
     runner::par_map_jobs(jobs, vec![false, true], |_, degraded| {
         let w = sequential_read_kernel(64, 262_144, AccessMode::MUnix);
-        let mut fs = Pfs::new(machine, TraceSink::new("raid"));
+        let mut fs = FsShell::new(
+            machine,
+            TraceSink::new("raid"),
+            FaultSchedule::new(),
+            Pfs::default(),
+        );
         for f in &w.files {
             fs.register(f.clone());
         }

@@ -15,8 +15,7 @@ use paragon_sim::{FaultSchedule, MachineConfig, NodeId, SimDuration, SimTime};
 use sio_blog::{Blog, BlogParams, BlogStats, DrainBackend};
 use sio_cio::{Cio, CioStats};
 use sio_core::trace::{Trace, TraceSink};
-use sio_fskit::{MetaStats, NodeLoad};
-use sio_pfs::fs::FaultStats;
+use sio_fskit::{FaultStats, FsShell, MetaStats, NodeLoad, Policy};
 use sio_pfs::{FileSpec, Pfs};
 use sio_ppfs::{PolicyConfig, Ppfs, PpfsStats};
 
@@ -172,123 +171,62 @@ impl IoService for Box<dyn FsBackend> {
     }
 }
 
-impl FsBackend for Pfs {
-    fn register_file(&mut self, spec: FileSpec) -> u32 {
-        self.register(spec)
+/// The counter families only some policies keep, surfaced through the
+/// matching [`FsBackend`] getters of `FsShell<P>`.
+trait PolicyCounters: Policy + Sized {
+    fn ppfs_stats(_shell: &FsShell<Self>) -> Option<PpfsStats> {
+        None
     }
 
-    fn sink_mut(&mut self) -> &mut TraceSink {
-        Pfs::sink_mut(self)
+    /// Buddy-failover backends (PFS, CIO) report the shell's fault counters.
+    fn fault_stats(shell: &FsShell<Self>) -> Option<FaultStats> {
+        Some(shell.fault_stats())
     }
 
-    fn finish_trace(self: Box<Self>) -> Trace {
-        Pfs::finish_trace(*self)
+    fn cio_stats(_shell: &FsShell<Self>) -> Option<CioStats> {
+        None
     }
 
-    fn rebuild_totals(&self) -> (u64, u64) {
-        (self.rebuild_chunks_total(), self.rebuilt_bytes_total())
-    }
+    fn mark_checkpoint_covered(&mut self, _file: u32) {}
+}
 
-    fn degraded_nodes(&self) -> u32 {
-        Pfs::degraded_nodes(self)
-    }
+impl PolicyCounters for Pfs {}
 
-    fn pfs_fault_stats(&self) -> Option<FaultStats> {
-        Some(self.fault_stats())
-    }
-
-    fn meta_stats(&self) -> Option<MetaStats> {
-        Some(Pfs::meta_stats(self))
-    }
-
-    fn node_loads(&self) -> Vec<NodeLoad> {
-        Pfs::node_loads(self)
-    }
-
-    fn submit_drain(
-        &mut self,
-        node: NodeId,
-        now: SimTime,
-        file: u32,
-        offset: u64,
-        bytes: u64,
-        token: IoToken,
-        sched: &mut Sched,
-    ) {
-        Pfs::submit_drain(self, node, now, file, offset, bytes, token, sched)
-    }
-
-    fn any_data_lost(&self) -> bool {
-        Pfs::any_data_lost(self)
+impl PolicyCounters for Cio {
+    fn cio_stats(shell: &FsShell<Cio>) -> Option<CioStats> {
+        Some(shell.policy().stats())
     }
 }
 
-impl FsBackend for Ppfs {
-    fn register_file(&mut self, spec: FileSpec) -> u32 {
-        self.register(spec)
+impl PolicyCounters for Ppfs {
+    fn ppfs_stats(shell: &FsShell<Ppfs>) -> Option<PpfsStats> {
+        Some(shell.policy().stats(shell.substrate()))
+    }
+
+    fn fault_stats(_shell: &FsShell<Ppfs>) -> Option<FaultStats> {
+        None
     }
 
     fn mark_checkpoint_covered(&mut self, file: u32) {
         Ppfs::mark_checkpoint_covered(self, file)
     }
-
-    fn sink_mut(&mut self) -> &mut TraceSink {
-        Ppfs::sink_mut(self)
-    }
-
-    fn finish_trace(self: Box<Self>) -> Trace {
-        Ppfs::finish_trace(*self)
-    }
-
-    fn rebuild_totals(&self) -> (u64, u64) {
-        (self.rebuild_chunks_total(), self.rebuilt_bytes_total())
-    }
-
-    fn degraded_nodes(&self) -> u32 {
-        Ppfs::degraded_nodes(self)
-    }
-
-    fn ppfs_stats(&self) -> Option<PpfsStats> {
-        Some(self.stats())
-    }
-
-    fn meta_stats(&self) -> Option<MetaStats> {
-        Some(Ppfs::meta_stats(self))
-    }
-
-    fn node_loads(&self) -> Vec<NodeLoad> {
-        Ppfs::node_loads(self)
-    }
-
-    fn submit_drain(
-        &mut self,
-        node: NodeId,
-        now: SimTime,
-        file: u32,
-        offset: u64,
-        bytes: u64,
-        token: IoToken,
-        sched: &mut Sched,
-    ) {
-        Ppfs::submit_drain(self, node, now, file, offset, bytes, token, sched)
-    }
-
-    fn any_data_lost(&self) -> bool {
-        Ppfs::any_data_lost(self)
-    }
 }
 
-impl FsBackend for Cio {
+impl<P: PolicyCounters + 'static> FsBackend for FsShell<P> {
     fn register_file(&mut self, spec: FileSpec) -> u32 {
         self.register(spec)
     }
 
+    fn mark_checkpoint_covered(&mut self, file: u32) {
+        self.policy_mut().mark_checkpoint_covered(file)
+    }
+
     fn sink_mut(&mut self) -> &mut TraceSink {
-        Cio::sink_mut(self)
+        FsShell::sink_mut(self)
     }
 
     fn finish_trace(self: Box<Self>) -> Trace {
-        Cio::finish_trace(*self)
+        FsShell::finish_trace(*self)
     }
 
     fn rebuild_totals(&self) -> (u64, u64) {
@@ -296,35 +234,27 @@ impl FsBackend for Cio {
     }
 
     fn degraded_nodes(&self) -> u32 {
-        Cio::degraded_nodes(self)
+        FsShell::degraded_nodes(self)
     }
 
-    /// CIO's fault machinery is the same shape as PFS's (both ride the
-    /// buddy-failover pump), so its counters surface through the same getter
-    /// and every fault/recovery harness reads them unchanged.
+    fn ppfs_stats(&self) -> Option<PpfsStats> {
+        P::ppfs_stats(self)
+    }
+
     fn pfs_fault_stats(&self) -> Option<FaultStats> {
-        let s = self.fault_stats();
-        Some(FaultStats {
-            retries: s.retries,
-            failovers: s.failovers,
-            lost_segments: s.lost_segments,
-            data_loss_segments: s.data_loss_segments,
-            timeouts: s.timeouts,
-            unavailable: s.unavailable,
-            data_loss_events: s.data_loss_events,
-        })
-    }
-
-    fn node_loads(&self) -> Vec<NodeLoad> {
-        Cio::node_loads(self)
-    }
-
-    fn cio_stats(&self) -> Option<CioStats> {
-        Some(Cio::cio_stats(self))
+        P::fault_stats(self)
     }
 
     fn meta_stats(&self) -> Option<MetaStats> {
-        Some(Cio::meta_stats(self))
+        Some(FsShell::meta_stats(self))
+    }
+
+    fn node_loads(&self) -> Vec<NodeLoad> {
+        FsShell::node_loads(self)
+    }
+
+    fn cio_stats(&self) -> Option<CioStats> {
+        P::cio_stats(self)
     }
 
     fn submit_drain(
@@ -337,11 +267,11 @@ impl FsBackend for Cio {
         token: IoToken,
         sched: &mut Sched,
     ) {
-        Cio::submit_drain(self, node, now, file, offset, bytes, token, sched)
+        FsShell::submit_drain(self, node, now, file, offset, bytes, token, sched)
     }
 
     fn any_data_lost(&self) -> bool {
-        Cio::any_data_lost(self)
+        FsShell::any_data_lost(self)
     }
 }
 
@@ -465,11 +395,14 @@ impl BackendSpec {
         schedule: FaultSchedule,
     ) -> Box<dyn FsBackend> {
         match self {
-            BackendSpec::Pfs => Box::new(Pfs::with_faults(machine, sink, schedule)),
-            BackendSpec::Ppfs(policy) => {
-                Box::new(Ppfs::with_faults(machine, *policy, sink, schedule))
-            }
-            BackendSpec::Cio => Box::new(Cio::with_faults(machine, sink, schedule)),
+            BackendSpec::Pfs => Box::new(FsShell::new(machine, sink, schedule, Pfs::default())),
+            BackendSpec::Ppfs(policy) => Box::new(FsShell::new(
+                machine,
+                sink,
+                schedule,
+                Ppfs::new(machine, *policy),
+            )),
+            BackendSpec::Cio => Box::new(FsShell::new(machine, sink, schedule, Cio::default())),
             BackendSpec::Blog(inner, params) => {
                 Box::new(Blog::new(inner.build(machine, sink, schedule), *params))
             }

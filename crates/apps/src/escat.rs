@@ -24,11 +24,10 @@
 use crate::checkpoint::{CheckpointPlan, CheckpointedWorkload};
 use crate::workload::{op_compute, op_open, Workload};
 use paragon_sim::program::{IoRequest, ScriptOp};
-use serde::{Deserialize, Serialize};
 use sio_pfs::{AccessMode, FileSpec};
 
 /// ESCAT workload parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EscatParams {
     /// Compute nodes.
     pub nodes: u32,

@@ -24,11 +24,10 @@ use crate::workload::{op_compute, op_open, Workload};
 use paragon_sim::program::{IoRequest, ScriptOp};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use sio_pfs::{AccessMode, FileSpec};
 
 /// Parameters for the three-program HTF pipeline.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HtfParams {
     /// Compute nodes (pargos, pscf; psetup is serial).
     pub nodes: u32,

@@ -23,11 +23,10 @@
 use crate::checkpoint::{CheckpointPlan, CheckpointedWorkload};
 use crate::workload::{op_compute, op_open, Workload};
 use paragon_sim::program::{IoRequest, ScriptOp};
-use serde::{Deserialize, Serialize};
 use sio_pfs::{AccessMode, FileSpec};
 
 /// RENDER workload parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RenderParams {
     /// Total nodes: gateway (node 0) + renderers.
     pub nodes: u32,

@@ -1,10 +1,11 @@
-//! The collective two-phase I/O model: a [`paragon_sim::IoService`].
+//! The collective two-phase I/O model: a [`Policy`] over the `sio-fskit`
+//! backend shell.
 //!
-//! `Cio` keeps PFS's metadata semantics — opens, creates, closes, and
-//! `lsize` serialize through one [`MetaServer`]; seeks on shared files
-//! serialize at the file's metadata owner; `Sync` commits park until the
-//! file drains — and replaces the *data path* with two-phase collective
-//! transfers:
+//! `Cio` keeps PFS's metadata semantics — the shell serializes opens,
+//! creates, closes, and `lsize` through one metadata server, serializes
+//! seeks on shared files at the file's metadata owner, and parks `Sync`
+//! commits until the file drains — and replaces the *data path* with
+//! two-phase collective transfers:
 //!
 //! * **gather** — a data operation on a shared file does not go to the
 //!   I/O nodes; it parks in the file's gather bucket. When every current
@@ -19,12 +20,12 @@
 //!   longest member→aggregator mesh message). The whole phase is a real
 //!   simulated delay, traced as an `I/O Wait` interval on the lead node.
 //! * **phase 2: aggregated dispatch** — each aggregator issues *one large
-//!   sequential transfer per file domain* through the shared
-//!   [`SegmentPump`] under the buddy-failover policy, so retry, failover,
-//!   crash, and timeout behavior is exactly the substrate's. When the last
-//!   domain lands, every member completes with its own byte count and
-//!   client copy cost; a typed [`IoFault`] on the collective propagates to
-//!   every participant.
+//!   sequential transfer per file domain* through the shared segment pump
+//!   under the buddy-failover policy, so retry, failover, crash, and
+//!   timeout behavior is exactly the substrate's. When the last domain
+//!   lands, every member completes with its own byte count and client copy
+//!   cost; a typed [`IoFault`] on the collective propagates to every
+//!   participant.
 //!
 //! Mode semantics under collectives: `M_UNIX`/`M_ASYNC` resolve per-node
 //! pointers at issue time (the conforming partition supplies the atomicity
@@ -42,25 +43,15 @@
 //! groups cannot park a commit forever; a genuinely absent participant
 //! surfaces as the engine's blocked-node report, not a silent hang.
 
-use paragon_sim::calibration::FaultParams;
-use paragon_sim::engine::{IoService, Sched};
-use paragon_sim::fault::{FaultEvent, FaultKind, FaultSchedule};
-use paragon_sim::ionode::{RejectReason, SegmentReq};
-use paragon_sim::program::{IoFault, IoRequest, IoResult, IoToken, IoVerb};
-use paragon_sim::{LinkQuality, LinkState, MachineConfig, NodeId, SimDuration, SimTime};
+use paragon_sim::engine::Sched;
+use paragon_sim::program::{IoFault, IoRequest, IoResult, IoToken};
+use paragon_sim::{NodeId, SimDuration, SimTime};
 use sio_core::event::{IoEvent, IoOp};
 use sio_core::hash::FastMap;
-use sio_core::trace::{Trace, TraceSink};
-use sio_fskit::file::{FileSpec, FileState};
 use sio_fskit::mode::AccessMode;
-use sio_fskit::pump::{backoff_delay, FailoverPolicy, NodeLoad, NodeTick, SegmentPump};
-use sio_fskit::table::{MetaStats, MetaVerdict};
-use sio_fskit::{FaultRouter, FileTable, MetaServer, SyncLedger, SyncWaiter, TraceRecorder};
+use sio_fskit::{data_op_kind, Policy, Substrate};
 
 use crate::partition::{self, Domain, Extent};
-
-pub use sio_fskit::client::ClientPath;
-pub use sio_fskit::config::{FsConfig as CioConfig, DEFAULT_FILE_SLOT};
 
 /// Assumed wire size of one extent descriptor in the phase-1 allgather.
 const DESCRIPTOR_BYTES: u64 = 64;
@@ -87,6 +78,20 @@ struct Member {
     spec: OffsetSpec,
 }
 
+impl Member {
+    /// This member with its offset resolved.
+    fn at(&self, offset: u64) -> RMember {
+        RMember {
+            token: self.token,
+            node: self.node,
+            issued: self.issued,
+            is_async: self.is_async,
+            offset,
+            bytes: self.bytes,
+        }
+    }
+}
+
 /// A member with its offset resolved and its byte count clamped.
 #[derive(Debug, Clone, Copy)]
 struct RMember {
@@ -104,6 +109,16 @@ struct RMember {
 struct Bucket {
     writes: Vec<Member>,
     reads: Vec<Member>,
+}
+
+impl Bucket {
+    fn side(&mut self, write: bool) -> &mut Vec<Member> {
+        if write {
+            &mut self.writes
+        } else {
+            &mut self.reads
+        }
+    }
 }
 
 /// A formed collective waiting out its phase-1 exchange delay.
@@ -144,57 +159,9 @@ pub struct CioStats {
     pub flushed_partial: u64,
 }
 
-/// Counters for the fault-handling machinery (all zero on a healthy run);
-/// the same shape as PFS's, since both ride the buddy-failover pump.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CioFaultStats {
-    /// Segment re-submissions scheduled with backoff.
-    pub retries: u64,
-    /// Segments failed over to the buddy node.
-    pub failovers: u64,
-    /// Segments lost to node crashes (in service or queued).
-    pub lost_segments: u64,
-    /// Segments served from an array with exhausted redundancy.
-    pub data_loss_segments: u64,
-    /// Collectives failed by the hard deadline.
-    pub timeouts: u64,
-    /// Member requests failed because no server would accept them.
-    pub unavailable: u64,
-    /// Second-failure events that exhausted an array's redundancy.
-    pub data_loss_events: u64,
-}
-
-/// A metadata RPC parked by a full metadata outage, awaiting a backoff
-/// retry probe.
-#[derive(Debug, Clone, Copy)]
-struct ParkedMeta {
-    token: IoToken,
-    node: NodeId,
-    file: u32,
-    op: IoOp,
-    cost: SimDuration,
-    /// Result bytes on success (file length for `Lsize`, 0 otherwise).
-    bytes: u64,
-    issued: SimTime,
-    /// Retry probes already made.
-    attempt: u32,
-}
-
-/// The collective two-phase I/O model.
+/// The collective two-phase I/O policy. Run it as `FsShell<Cio>`.
+#[derive(Debug, Default)]
 pub struct Cio {
-    cfg: CioConfig,
-    /// Segment pump over the I/O nodes (buddy-failover policy).
-    pump: SegmentPump,
-    files: FileTable,
-    recorder: TraceRecorder,
-    /// Global metadata server (replicated; buddy failover under faults).
-    meta: MetaServer,
-    /// Metadata RPCs parked by a full outage (timer id → parked RPC).
-    parked_meta: FastMap<u64, ParkedMeta>,
-    /// Interconnect link quality per I/O-node region (exchange-phase costs).
-    links: LinkState,
-    /// Per-file metadata-owner queues for shared-file seeks.
-    seek_free: Vec<SimTime>,
     /// Per-file gather buckets.
     gather: FastMap<u32, Bucket>,
     /// Collectives waiting out their exchange delay (timer id → group).
@@ -202,146 +169,549 @@ pub struct Cio {
     /// Dispatched collectives (collective id → state).
     collectives: FastMap<u64, Collective>,
     next_coll: u64,
-    /// Shared timer-id counter (faults, retries, timeouts, exchanges).
-    next_timer: u64,
-    /// `Sync` commits parked until their file has no in-flight writes.
-    syncs: SyncLedger,
-    /// Per-node serial client copy path.
-    client: ClientPath,
-    /// Fault-handling calibration (backoff, failover, deadline).
-    fault_params: FaultParams,
-    /// Scheduled fault delivery; inert on a healthy run.
-    faults: FaultRouter,
     /// Armed per-collective deadline timers (timer id → collective id).
     timeout_timers: FastMap<u64, u64>,
-    fault_stats: CioFaultStats,
     stats: CioStats,
 }
 
 impl Cio {
-    /// Build a CIO over the given machine, tracing into `sink`.
-    pub fn new(machine: &MachineConfig, sink: TraceSink) -> Cio {
-        Cio::with_faults(machine, sink, FaultSchedule::new())
-    }
-
-    /// Build a CIO with an injected fault schedule. An empty schedule is
-    /// exactly [`Cio::new`]: no timers armed, bit-identical healthy runs.
-    pub fn with_faults(machine: &MachineConfig, sink: TraceSink, schedule: FaultSchedule) -> Cio {
-        let cfg = CioConfig::from_machine(machine);
-        let ionodes = machine.build_io_nodes();
-        let faults = FaultRouter::new(schedule, ionodes.len());
-        let next_timer = ionodes.len() as u64;
-        let links = LinkState::healthy(ionodes.len());
-        let pump = SegmentPump::new(
-            ionodes,
-            FailoverPolicy::Buddy {
-                max_retries: machine.fault.max_retries,
-            },
-            machine.fault.retry_base,
-        );
-        let files = FileTable::new(cfg.file_slot, cfg.array_capacity);
-        Cio {
-            cfg,
-            pump,
-            files,
-            recorder: TraceRecorder::new(sink),
-            meta: MetaServer::new(),
-            parked_meta: FastMap::default(),
-            links,
-            seek_free: Vec::new(),
-            gather: FastMap::default(),
-            exchange: FastMap::default(),
-            collectives: FastMap::default(),
-            next_coll: 0,
-            next_timer,
-            syncs: SyncLedger::new(),
-            client: ClientPath::new(),
-            fault_params: machine.fault,
-            faults,
-            timeout_timers: FastMap::default(),
-            fault_stats: CioFaultStats::default(),
-            stats: CioStats::default(),
-        }
-    }
-
-    fn faults_enabled(&self) -> bool {
-        self.faults.enabled()
-    }
-
-    /// Register a file; returns its id (used in [`IoRequest::file`]).
-    pub fn register(&mut self, spec: FileSpec) -> u32 {
-        let id = self.files.register(spec);
-        self.seek_free.push(SimTime::ZERO);
-        id
-    }
-
-    /// Register a file, returning [`IoFault::Unavailable`] when the
-    /// fixed-slot allocator is exhausted.
-    pub fn try_register(&mut self, spec: FileSpec) -> Result<u32, IoFault> {
-        let id = self.files.try_register(spec)?;
-        self.seek_free.push(SimTime::ZERO);
-        Ok(id)
-    }
-
-    /// Current length of a registered file.
-    pub fn file_len(&self, file: u32) -> u64 {
-        self.files.len_of(file)
-    }
-
-    /// Mutable access to the trace sink (e.g. to set run metadata).
-    pub fn sink_mut(&mut self) -> &mut TraceSink {
-        self.recorder.sink_mut()
-    }
-
-    /// Consume the file system, freezing its captured trace.
-    pub fn finish_trace(self) -> Trace {
-        self.recorder.finish()
-    }
-
     /// Collective-machinery counters.
-    pub fn cio_stats(&self) -> CioStats {
+    pub fn stats(&self) -> CioStats {
         self.stats
     }
 
-    /// Metadata fault-machinery counters (all zero on a healthy run).
-    pub fn meta_stats(&self) -> MetaStats {
-        self.meta.stats()
+    /// Complete one member with a zero-byte short software path (nothing
+    /// to move: a zero-length write or a read at/past EOF).
+    fn complete_empty_member(
+        fs: &mut Substrate,
+        file: u32,
+        write: bool,
+        m: RMember,
+        now: SimTime,
+        sched: &mut Sched,
+    ) {
+        let done = now + SimDuration::from_micros(200);
+        if !m.is_async {
+            fs.recorder.record(
+                IoEvent::new(m.node, file, data_op_kind(write, false))
+                    .span(m.issued.nanos(), done.nanos())
+                    .extent(m.offset, 0),
+            );
+        }
+        sched.complete_io(
+            m.token,
+            done,
+            IoResult {
+                bytes: 0,
+                queued: SimDuration::ZERO,
+                service: done.since(m.issued),
+                fault: None,
+            },
+        );
     }
 
-    /// Fault-machinery counters (all zero on a healthy run).
-    pub fn fault_stats(&self) -> CioFaultStats {
-        let mut s = self.fault_stats;
-        let p = self.pump.stats();
-        s.retries += p.retries;
-        s.failovers += p.failovers;
-        s
-    }
-
-    /// Accepted-request accounting per I/O node.
-    pub fn node_loads(&self) -> Vec<NodeLoad> {
-        self.pump.node_loads()
-    }
-
-    /// Rebuild chunks completed across all I/O nodes.
-    pub fn rebuild_chunks_total(&self) -> u64 {
-        self.pump.rebuild_chunks_total()
-    }
-
-    /// Whether any accepted write was served by an array with exhausted
-    /// redundancy (acknowledged data is gone).
-    pub fn any_data_lost(&self) -> bool {
-        self.pump.any_data_lost()
-    }
-
-    /// Submit a burst-log drain extent: a singleton asynchronous write
-    /// collective dispatched straight through the phase-2 path, so drains
-    /// inherit the conforming partition, pump staging, backoff/failover,
-    /// and the hard deadline — but record no application-visible trace
-    /// event (the member is `is_async`) and are not counted in the
-    /// application-collective stats.
-    #[allow(clippy::too_many_arguments)]
-    pub fn submit_drain(
+    /// Fail every member of a collective with a typed fault.
+    fn fail_collective(
         &mut self,
+        fs: &mut Substrate,
+        cid: u64,
+        fault: IoFault,
+        now: SimTime,
+        sched: &mut Sched,
+    ) {
+        let Some(c) = self.collectives.remove(&cid) else {
+            return;
+        };
+        for id in &c.seg_ids {
+            fs.pump.forget(*id);
+        }
+        self.fail_members(fs, c.file, c.write, &c.members, fault, now, sched);
+    }
+
+    /// Complete `members` with a typed fault and no data.
+    #[allow(clippy::too_many_arguments)]
+    fn fail_members(
+        &mut self,
+        fs: &mut Substrate,
+        file: u32,
+        write: bool,
+        members: &[RMember],
+        fault: IoFault,
+        now: SimTime,
+        sched: &mut Sched,
+    ) {
+        let op = data_op_kind(write, false);
+        for m in members {
+            if !m.is_async {
+                fs.recorder.record(
+                    IoEvent::new(m.node, file, op)
+                        .span(m.issued.nanos(), now.nanos())
+                        .extent(m.offset, 0),
+                );
+            }
+            sched.complete_io(
+                m.token,
+                now,
+                IoResult {
+                    bytes: 0,
+                    queued: SimDuration::ZERO,
+                    service: now.since(m.issued),
+                    fault: Some(fault),
+                },
+            );
+        }
+        fs.drain_sync_waiters(self, file, now, sched);
+    }
+
+    /// Complete a finished collective: every member pays its own client
+    /// copy cost and reports its own byte count; a collective-level fault
+    /// (redundancy-exhausted array) reaches every member.
+    fn finish_collective(
+        &mut self,
+        fs: &mut Substrate,
+        c: Collective,
+        now: SimTime,
+        sched: &mut Sched,
+    ) {
+        let rate = fs.cfg.io_sw.client_byte_rate;
+        let op = data_op_kind(c.write, false);
+        for m in &c.members {
+            let done = fs.client.copy_done(m.node, now, m.bytes, rate);
+            if !m.is_async {
+                fs.recorder.record(
+                    IoEvent::new(m.node, c.file, op)
+                        .span(m.issued.nanos(), done.nanos())
+                        .extent(m.offset, m.bytes),
+                );
+            }
+            sched.complete_io(
+                m.token,
+                done,
+                IoResult {
+                    bytes: m.bytes,
+                    queued: SimDuration::ZERO,
+                    service: done.since(m.issued),
+                    fault: c.fault,
+                },
+            );
+        }
+        fs.drain_sync_waiters(self, c.file, now, sched);
+    }
+
+    /// Phase 2: issue one aggregated sequential transfer per file domain.
+    fn dispatch_collective(
+        &mut self,
+        fs: &mut Substrate,
+        now: SimTime,
+        x: PendingExchange,
+        sched: &mut Sched,
+    ) {
+        let PendingExchange {
+            file,
+            write,
+            members,
+            domains,
+        } = x;
+        let slot_base = fs.files.slot_base(file);
+        if domains
+            .iter()
+            .any(|d| slot_base + d.local_offset + d.bytes > fs.cfg.array_capacity)
+        {
+            // The aggregate overflows its allocator slot: a typed data-path
+            // failure on every member, not a crash of the run.
+            fs.fault_stats.unavailable += members.len() as u64;
+            self.fail_members(fs, file, write, &members, IoFault::Unavailable, now, sched);
+            return;
+        }
+        let cid = self.next_coll;
+        self.next_coll += 1;
+        let mut reqs = Vec::with_capacity(domains.len());
+        let mut seg_ids = Vec::with_capacity(domains.len());
+        for d in &domains {
+            let req = fs
+                .pump
+                .stage_seg(slot_base + d.local_offset, d.bytes, write, cid);
+            seg_ids.push(req.id);
+            reqs.push((d.io_node, req));
+        }
+        self.stats.aggregated_extents += reqs.len() as u64;
+        self.collectives.insert(
+            cid,
+            Collective {
+                file,
+                write,
+                members,
+                segs_left: reqs.len() as u32,
+                seg_ids,
+                fault: None,
+            },
+        );
+        for (io, req) in reqs {
+            self.submit_or_refuse(fs, now, io, req, 0, sched);
+        }
+        if fs.faults_enabled() && self.collectives.contains_key(&cid) {
+            // Hard deadline: no collective hangs forever under a fault
+            // schedule with no recovery.
+            let id = fs.arm_timer(now + fs.fault_params.request_timeout, sched);
+            self.timeout_timers.insert(id, cid);
+        }
+    }
+
+    /// Form a collective from gathered members: resolve offsets, clamp
+    /// byte counts, compute the conforming partition, charge the phase-1
+    /// exchange, and dispatch (immediately for singletons, after the
+    /// exchange delay otherwise).
+    #[allow(clippy::too_many_arguments)]
+    fn form_collective(
+        &mut self,
+        fs: &mut Substrate,
+        file: u32,
+        write: bool,
+        members: Vec<Member>,
+        forced: bool,
+        now: SimTime,
+        sched: &mut Sched,
+    ) {
+        // Distinct participating nodes, sorted: the aggregator electorate.
+        let mut parts: Vec<NodeId> = members.iter().map(|m| m.node).collect();
+        parts.sort_unstable();
+        parts.dedup();
+        let p = parts.len();
+        if forced && p < fs.files.get(file).opener_count() {
+            self.stats.flushed_partial += 1;
+        }
+
+        // Resolve offsets. `Ordered` assigns the shared pointer in
+        // node-rank order; `Same` advances it once for the whole group.
+        let st = fs.files.state(file);
+        let resolved: Vec<RMember> = match members[0].spec {
+            OffsetSpec::At(_) => members
+                .iter()
+                .map(|m| {
+                    let OffsetSpec::At(offset) = m.spec else {
+                        unreachable!("mixed offset specs in one bucket")
+                    };
+                    m.at(offset)
+                })
+                .collect(),
+            OffsetSpec::Ordered => {
+                let mut ordered = members.clone();
+                ordered.sort_by_key(|m| st.rank_of(m.node));
+                ordered
+                    .iter()
+                    .map(|m| {
+                        let offset = st.shared_pos;
+                        st.shared_pos += m.bytes;
+                        m.at(offset)
+                    })
+                    .collect()
+            }
+            OffsetSpec::Same => {
+                let bytes = members[0].bytes;
+                debug_assert!(members.iter().all(|m| m.bytes == bytes));
+                let offset = st.shared_pos;
+                st.shared_pos += bytes;
+                members.iter().map(|m| m.at(offset)).collect()
+            }
+        };
+
+        // Clamp: writes extend the file, reads clamp to EOF. Members left
+        // with nothing to move complete on the short software path.
+        let mut live: Vec<RMember> = Vec::with_capacity(resolved.len());
+        for mut m in resolved {
+            let st = fs.files.state(file);
+            if write {
+                st.extend_to(m.offset + m.bytes);
+            } else {
+                m.bytes = m.bytes.min(st.len.saturating_sub(m.offset));
+            }
+            if m.bytes == 0 {
+                Cio::complete_empty_member(fs, file, write, m, now, sched);
+            } else {
+                live.push(m);
+            }
+        }
+        if live.is_empty() {
+            fs.drain_sync_waiters(self, file, now, sched);
+            return;
+        }
+
+        // The conforming partition of the aggregate request.
+        let extents: Vec<Extent> = live
+            .iter()
+            .map(|m| Extent {
+                offset: m.offset,
+                bytes: m.bytes,
+            })
+            .collect();
+        let domains = partition::partition(&fs.cfg.layout, &extents);
+        let pending = PendingExchange {
+            file,
+            write,
+            members: live,
+            domains,
+        };
+
+        if p <= 1 {
+            // Solo opener: a singleton collective has nothing to exchange.
+            self.stats.singletons += 1;
+            self.dispatch_collective(fs, now, pending, sched);
+            return;
+        }
+
+        // Phase 1: descriptor allgather over the mesh, then the data
+        // shuffle — every member ships its overlap with each domain to
+        // that domain's aggregator (writes) or receives it (reads); the
+        // phase ends when the longest member↔aggregator message lands.
+        // Descriptor allgather touches every region, so it pays the worst
+        // link quality in force; a healthy link state is bit-identical to
+        // the plain broadcast.
+        let descriptors = fs.cfg.mesh.broadcast_time_via(
+            &fs.cfg.comm,
+            fs.links.worst(),
+            p as u32,
+            DESCRIPTOR_BYTES * members.len() as u64,
+        );
+        let mut shuffle = SimDuration::ZERO;
+        for d in &pending.domains {
+            let aggregator = parts[d.io_node as usize % p];
+            for m in &pending.members {
+                if m.node == aggregator {
+                    continue;
+                }
+                let ov = d.overlap(Extent {
+                    offset: m.offset,
+                    bytes: m.bytes,
+                });
+                if ov > 0 {
+                    let hops = fs.cfg.mesh.compute_hops(m.node, aggregator);
+                    // The shuffle message lands in the domain's I/O-node
+                    // region: it pays that region's link quality.
+                    let q = fs.links.region(d.io_node);
+                    shuffle = shuffle.max(fs.cfg.mesh.msg_time_via(&fs.cfg.comm, q, hops, ov));
+                }
+            }
+        }
+        let exchange = descriptors + shuffle;
+        let ready = now + exchange;
+        self.stats.collectives += 1;
+        self.stats.members += pending.members.len() as u64;
+        self.stats.exchange += exchange;
+
+        // The exchange is a real interval on the mesh: trace it on the
+        // lead (lowest-numbered) participant, spanning formation → ready,
+        // with the aggregate extent.
+        let union_lo = pending
+            .domains
+            .iter()
+            .flat_map(|d| d.pieces.first())
+            .map(|e| e.offset)
+            .min()
+            .unwrap_or(0);
+        let total: u64 = pending.domains.iter().map(|d| d.bytes).sum();
+        fs.recorder.record(
+            IoEvent::new(parts[0], file, IoOp::IoWait)
+                .span(now.nanos(), ready.nanos())
+                .extent(union_lo, total),
+        );
+
+        if ready > now {
+            let id = fs.arm_timer(ready, sched);
+            self.exchange.insert(id, pending);
+        } else {
+            self.dispatch_collective(fs, now, pending, sched);
+        }
+    }
+
+    /// Trigger check: when every current opener has contributed to the
+    /// bucket (or `forced`), take it and form the collective.
+    fn try_trigger(
+        &mut self,
+        fs: &mut Substrate,
+        file: u32,
+        write: bool,
+        forced: bool,
+        now: SimTime,
+        sched: &mut Sched,
+    ) {
+        let openers = fs.files.get(file).opener_count();
+        let Some(bucket) = self.gather.get_mut(&file) else {
+            return;
+        };
+        let members = bucket.side(write);
+        if members.is_empty() {
+            return;
+        }
+        if !forced {
+            let mut nodes: Vec<NodeId> = members.iter().map(|m| m.node).collect();
+            nodes.sort_unstable();
+            nodes.dedup();
+            if nodes.len() < openers {
+                return;
+            }
+        }
+        let taken = std::mem::take(members);
+        self.form_collective(fs, file, write, taken, forced, now, sched);
+    }
+}
+
+impl Policy for Cio {
+    /// Gather a data operation according to the file's mode, then check
+    /// the collective trigger.
+    fn data_op(
+        &mut self,
+        fs: &mut Substrate,
+        now: SimTime,
+        token: IoToken,
+        node: NodeId,
+        req: IoRequest,
+        write: bool,
+        is_async: bool,
+        sched: &mut Sched,
+    ) {
+        let file = req.file;
+        let mode = fs.files.get(file).mode.unwrap_or_else(|| {
+            panic!(
+                "data op on closed file {} by node {node}",
+                fs.files.get(file).spec.name
+            )
+        });
+        let st = fs.files.state(file);
+        let spec = match mode {
+            AccessMode::MUnix | AccessMode::MAsync => {
+                let pos = st.pos.entry(node).or_insert(0);
+                let offset = req.offset.unwrap_or(*pos);
+                *pos = offset + req.bytes;
+                // No atomic-write RPC: the conforming partition itself
+                // guarantees M_UNIX's non-interleaving of concurrent
+                // writers.
+                OffsetSpec::At(offset)
+            }
+            AccessMode::MRecord => {
+                let rs = *st.record_size.get_or_insert(req.bytes);
+                assert_eq!(
+                    req.bytes, rs,
+                    "M_RECORD requires fixed-size records ({rs} B) on {}",
+                    st.spec.name
+                );
+                let n = st.participants().len() as u64;
+                let rank = st.rank_of(node);
+                let k = st.op_count.entry(node).or_insert(0);
+                let record_index = *k * n + rank;
+                *k += 1;
+                OffsetSpec::At(record_index * rs)
+            }
+            AccessMode::MLog => {
+                // The exchange orders the group; the shared pointer
+                // advances in arrival order with no token serialization.
+                let offset = st.shared_pos;
+                st.shared_pos += req.bytes;
+                OffsetSpec::At(offset)
+            }
+            AccessMode::MSync => OffsetSpec::Ordered,
+            AccessMode::MGlobal => OffsetSpec::Same,
+        };
+        // Trace the async issue itself, with the offset the request
+        // resolved to (shared-pointer specs resolve at formation; the
+        // issue event reports the current shared position).
+        if is_async {
+            let resolved = match spec {
+                OffsetSpec::At(o) => o,
+                OffsetSpec::Ordered | OffsetSpec::Same => st.shared_pos,
+            };
+            let issue_end = now + fs.cfg.io_sw.async_issue;
+            fs.recorder.record(
+                IoEvent::new(node, file, IoOp::AsyncRead)
+                    .span(now.nanos(), issue_end.nanos())
+                    .extent(resolved, req.bytes),
+            );
+        }
+        self.gather
+            .entry(file)
+            .or_default()
+            .side(write)
+            .push(Member {
+                token,
+                node,
+                issued: now,
+                is_async,
+                bytes: req.bytes,
+                spec,
+            });
+        self.try_trigger(fs, file, write, false, now, sched);
+    }
+
+    fn seg_done(
+        &mut self,
+        fs: &mut Substrate,
+        cid: u64,
+        data_lost: bool,
+        now: SimTime,
+        sched: &mut Sched,
+    ) {
+        let Some(c) = self.collectives.get_mut(&cid) else {
+            debug_assert!(fs.faults_enabled(), "collective missing");
+            return;
+        };
+        if data_lost {
+            fs.fault_stats.data_loss_segments += 1;
+            c.fault = Some(IoFault::DataLoss);
+        }
+        c.segs_left -= 1;
+        if c.segs_left == 0 {
+            if let Some(c) = self.collectives.remove(&cid) {
+                self.finish_collective(fs, c, now, sched);
+            }
+        }
+    }
+
+    /// Every member of the collective counts as one unavailable request.
+    fn seg_refused(&mut self, fs: &mut Substrate, cid: u64, now: SimTime, sched: &mut Sched) {
+        let members = self
+            .collectives
+            .get(&cid)
+            .map_or(1, |c| c.members.len() as u64);
+        fs.fault_stats.unavailable += members;
+        self.fail_collective(fs, cid, IoFault::Unavailable, now, sched);
+    }
+
+    /// A gathered write member, a write collective in its exchange phase,
+    /// or aggregated write segments on the I/O nodes.
+    fn has_outstanding_writes(&self, file: u32) -> bool {
+        self.collectives.values().any(|c| c.file == file && c.write)
+            || self.exchange.values().any(|x| x.file == file && x.write)
+            || self.gather.get(&file).is_some_and(|b| !b.writes.is_empty())
+    }
+
+    /// Collective deadlines and completed phase-1 exchanges.
+    fn on_timer(
+        &mut self,
+        fs: &mut Substrate,
+        now: SimTime,
+        timer: u64,
+        sched: &mut Sched,
+    ) -> bool {
+        if let Some(cid) = self.timeout_timers.remove(&timer) {
+            if self.collectives.contains_key(&cid) {
+                fs.fault_stats.timeouts += 1;
+                self.fail_collective(fs, cid, IoFault::Timeout, now, sched);
+            }
+        } else if let Some(x) = self.exchange.remove(&timer) {
+            self.dispatch_collective(fs, now, x, sched);
+        } else {
+            return false;
+        }
+        true
+    }
+
+    /// A singleton asynchronous write collective dispatched straight
+    /// through the phase-2 path, so drains inherit the conforming
+    /// partition, pump staging, backoff/failover, and the hard deadline —
+    /// but record no application-visible trace event (the member is
+    /// `is_async`) and are not counted in the application-collective stats.
+    fn submit_drain(
+        &mut self,
+        fs: &mut Substrate,
         node: NodeId,
         now: SimTime,
         file: u32,
@@ -350,7 +720,7 @@ impl Cio {
         token: IoToken,
         sched: &mut Sched,
     ) {
-        self.state(file).extend_to(offset + bytes);
+        fs.files.state(file).extend_to(offset + bytes);
         if bytes == 0 {
             sched.complete_io(
                 token,
@@ -372,932 +742,34 @@ impl Cio {
             offset,
             bytes,
         }];
-        let extents = [Extent { offset, bytes }];
-        let domains = partition::partition(&self.cfg.layout, &extents);
-        self.dispatch_collective(
-            now,
-            PendingExchange {
-                file,
-                write: true,
-                members,
-                domains,
-            },
-            sched,
-        );
-    }
-
-    /// Member bytes rebuilt across all I/O nodes.
-    pub fn rebuilt_bytes_total(&self) -> u64 {
-        self.pump.rebuilt_bytes_total()
-    }
-
-    /// I/O nodes whose arrays are still degraded.
-    pub fn degraded_nodes(&self) -> u32 {
-        self.pump.degraded_nodes()
-    }
-
-    /// Sum of queueing delay accumulated across all I/O nodes.
-    pub fn total_queueing(&self) -> SimDuration {
-        self.pump.total_queueing()
-    }
-
-    /// Total stripe segments completed across all I/O nodes.
-    pub fn segments_completed(&self) -> u64 {
-        self.pump.segments_completed()
-    }
-
-    fn state(&mut self, file: u32) -> &mut FileState {
-        self.files.state(file)
-    }
-
-    fn record(&mut self, ev: IoEvent) {
-        self.recorder.record(ev);
-    }
-
-    /// Whether `file` still has in-flight write traffic a `Sync` must wait
-    /// out: a gathered write member, a write collective in its exchange
-    /// phase, or aggregated write segments on the I/O nodes.
-    fn has_outstanding_writes(&self, file: u32) -> bool {
-        self.collectives.values().any(|c| c.file == file && c.write)
-            || self.exchange.values().any(|x| x.file == file && x.write)
-            || self.gather.get(&file).is_some_and(|b| !b.writes.is_empty())
-    }
-
-    /// Acknowledge a commit (flush cost plus a typed `DataLoss` fault when
-    /// redundancy is exhausted somewhere under the file).
-    fn complete_sync(
-        &mut self,
-        token: IoToken,
-        node: NodeId,
-        file: u32,
-        now: SimTime,
-        issued: SimTime,
-        sched: &mut Sched,
-    ) {
-        let fault = if self.pump.any_data_lost() {
-            Some(IoFault::DataLoss)
-        } else {
-            None
-        };
-        self.recorder.complete_commit(
-            sched,
-            token,
-            node,
+        let domains = partition::partition(&fs.cfg.layout, &[Extent { offset, bytes }]);
+        let x = PendingExchange {
             file,
-            issued,
-            now,
-            self.cfg.io_sw.flush,
-            fault,
-        );
-    }
-
-    /// Release every `Sync` waiter on `file` once its last in-flight write
-    /// has finished (or failed).
-    fn drain_sync_waiters(&mut self, file: u32, now: SimTime, sched: &mut Sched) {
-        if self.syncs.is_empty() || self.has_outstanding_writes(file) {
-            return;
-        }
-        for w in self.syncs.take_for(file) {
-            self.complete_sync(w.token, w.node, w.file, now, w.issued, sched);
-        }
-    }
-
-    /// The trace/result op kind of a member.
-    fn op_of(write: bool, is_async: bool) -> IoOp {
-        match (write, is_async) {
-            (true, _) => IoOp::Write,
-            (false, false) => IoOp::Read,
-            (false, true) => IoOp::AsyncRead,
-        }
-    }
-
-    /// Complete one member with a zero-byte short software path (nothing
-    /// to move: a zero-length write or a read at/past EOF).
-    fn complete_empty_member(
-        &mut self,
-        file: u32,
-        write: bool,
-        m: RMember,
-        now: SimTime,
-        sched: &mut Sched,
-    ) {
-        let done = now + SimDuration::from_micros(200);
-        let op = Cio::op_of(write, m.is_async);
-        if !m.is_async {
-            self.record(
-                IoEvent::new(m.node, file, op)
-                    .span(m.issued.nanos(), done.nanos())
-                    .extent(m.offset, 0),
-            );
-        }
-        sched.complete_io(
-            m.token,
-            done,
-            IoResult {
-                bytes: 0,
-                queued: SimDuration::ZERO,
-                service: done.since(m.issued),
-                fault: None,
-            },
-        );
-    }
-
-    /// Fail every member of a collective with a typed fault.
-    fn fail_collective(&mut self, cid: u64, fault: IoFault, now: SimTime, sched: &mut Sched) {
-        let Some(c) = self.collectives.remove(&cid) else {
-            return;
-        };
-        for id in &c.seg_ids {
-            self.pump.forget(*id);
-        }
-        let op = Cio::op_of(c.write, false);
-        for m in &c.members {
-            if !m.is_async {
-                self.record(
-                    IoEvent::new(m.node, c.file, op)
-                        .span(m.issued.nanos(), now.nanos())
-                        .extent(m.offset, 0),
-                );
-            }
-            sched.complete_io(
-                m.token,
-                now,
-                IoResult {
-                    bytes: 0,
-                    queued: SimDuration::ZERO,
-                    service: now.since(m.issued),
-                    fault: Some(fault),
-                },
-            );
-        }
-        self.drain_sync_waiters(c.file, now, sched);
-    }
-
-    /// Complete a finished collective: every member pays its own client
-    /// copy cost and reports its own byte count; a collective-level fault
-    /// (redundancy-exhausted array) reaches every member.
-    fn finish_collective(&mut self, c: Collective, now: SimTime, sched: &mut Sched) {
-        let rate = self.cfg.io_sw.client_byte_rate;
-        let op = Cio::op_of(c.write, false);
-        for m in &c.members {
-            let done = self.client.copy_done(m.node, now, m.bytes, rate);
-            if !m.is_async {
-                self.record(
-                    IoEvent::new(m.node, c.file, op)
-                        .span(m.issued.nanos(), done.nanos())
-                        .extent(m.offset, m.bytes),
-                );
-            }
-            sched.complete_io(
-                m.token,
-                done,
-                IoResult {
-                    bytes: m.bytes,
-                    queued: SimDuration::ZERO,
-                    service: done.since(m.issued),
-                    fault: c.fault,
-                },
-            );
-        }
-        self.drain_sync_waiters(c.file, now, sched);
-    }
-
-    /// Push one aggregated segment through the pump; when both the primary
-    /// and its buddy refuse it, fail the owning collective as unavailable.
-    fn submit_or_fail(
-        &mut self,
-        now: SimTime,
-        io: u32,
-        req: SegmentReq,
-        attempt: u32,
-        sched: &mut Sched,
-    ) {
-        if let Some(cid) = self
-            .pump
-            .submit_seg(now, io, req, attempt, &mut self.next_timer, sched)
-        {
-            let members = self
-                .collectives
-                .get(&cid)
-                .map_or(1, |c| c.members.len() as u64);
-            self.fault_stats.unavailable += members;
-            self.fail_collective(cid, IoFault::Unavailable, now, sched);
-        }
-    }
-
-    /// Phase 2: issue one aggregated sequential transfer per file domain.
-    fn dispatch_collective(&mut self, now: SimTime, x: PendingExchange, sched: &mut Sched) {
-        let PendingExchange {
-            file,
-            write,
+            write: true,
             members,
             domains,
-        } = x;
-        let slot_base = self.files.slot_base(file);
-        if domains
-            .iter()
-            .any(|d| slot_base + d.local_offset + d.bytes > self.cfg.array_capacity)
-        {
-            // The aggregate overflows its allocator slot: a typed data-path
-            // failure on every member, not a crash of the run.
-            self.fault_stats.unavailable += members.len() as u64;
-            let op = Cio::op_of(write, false);
-            for m in &members {
-                if !m.is_async {
-                    self.record(
-                        IoEvent::new(m.node, file, op)
-                            .span(m.issued.nanos(), now.nanos())
-                            .extent(m.offset, 0),
-                    );
-                }
-                sched.complete_io(
-                    m.token,
-                    now,
-                    IoResult {
-                        bytes: 0,
-                        queued: SimDuration::ZERO,
-                        service: now.since(m.issued),
-                        fault: Some(IoFault::Unavailable),
-                    },
-                );
-            }
-            self.drain_sync_waiters(file, now, sched);
-            return;
-        }
-        let cid = self.next_coll;
-        self.next_coll += 1;
-        let mut reqs = Vec::with_capacity(domains.len());
-        let mut seg_ids = Vec::with_capacity(domains.len());
-        for d in &domains {
-            let req = self
-                .pump
-                .stage_seg(slot_base + d.local_offset, d.bytes, write, cid);
-            seg_ids.push(req.id);
-            reqs.push((d.io_node, req));
-        }
-        self.stats.aggregated_extents += reqs.len() as u64;
-        self.collectives.insert(
-            cid,
-            Collective {
-                file,
-                write,
-                members,
-                segs_left: reqs.len() as u32,
-                seg_ids,
-                fault: None,
-            },
-        );
-        for (io, req) in reqs {
-            self.submit_or_fail(now, io, req, 0, sched);
-        }
-        if self.faults_enabled() && self.collectives.contains_key(&cid) {
-            // Hard deadline: no collective hangs forever under a fault
-            // schedule with no recovery.
-            let id = self.next_timer;
-            self.next_timer += 1;
-            self.timeout_timers.insert(id, cid);
-            sched.timer(now + self.fault_params.request_timeout, id);
-        }
+        };
+        self.dispatch_collective(fs, now, x, sched);
     }
 
-    /// Form a collective from gathered members: resolve offsets, clamp
-    /// byte counts, compute the conforming partition, charge the phase-1
-    /// exchange, and dispatch (immediately for singletons, after the
-    /// exchange delay otherwise).
-    fn form_collective(
+    /// The membership a collective waits for just shrank: a bucket the
+    /// remaining openers have all contributed to can now go.
+    fn on_close(
         &mut self,
+        fs: &mut Substrate,
+        now: SimTime,
+        _node: NodeId,
         file: u32,
-        write: bool,
-        members: Vec<Member>,
-        forced: bool,
-        now: SimTime,
         sched: &mut Sched,
     ) {
-        // Distinct participating nodes, sorted: the aggregator electorate.
-        let mut parts: Vec<NodeId> = members.iter().map(|m| m.node).collect();
-        parts.sort_unstable();
-        parts.dedup();
-        let p = parts.len();
-        if forced && p < self.files.get(file).opener_count() {
-            self.stats.flushed_partial += 1;
-        }
-
-        // Resolve offsets. `Ordered` assigns the shared pointer in
-        // node-rank order; `Same` advances it once for the whole group.
-        let mut resolved: Vec<RMember> = Vec::with_capacity(members.len());
-        match members[0].spec {
-            OffsetSpec::At(_) => {
-                for m in &members {
-                    let OffsetSpec::At(offset) = m.spec else {
-                        unreachable!("mixed offset specs in one bucket")
-                    };
-                    resolved.push(RMember {
-                        token: m.token,
-                        node: m.node,
-                        issued: m.issued,
-                        is_async: m.is_async,
-                        offset,
-                        bytes: m.bytes,
-                    });
-                }
-            }
-            OffsetSpec::Ordered => {
-                let st = self.state(file);
-                st.participants();
-                let mut ordered = members.clone();
-                let st = self.state(file);
-                ordered.sort_by_key(|m| st.rank_of(m.node));
-                for m in ordered {
-                    let st = self.state(file);
-                    let offset = st.shared_pos;
-                    st.shared_pos += m.bytes;
-                    resolved.push(RMember {
-                        token: m.token,
-                        node: m.node,
-                        issued: m.issued,
-                        is_async: m.is_async,
-                        offset,
-                        bytes: m.bytes,
-                    });
-                }
-            }
-            OffsetSpec::Same => {
-                let bytes = members[0].bytes;
-                debug_assert!(members.iter().all(|m| m.bytes == bytes));
-                let st = self.state(file);
-                let offset = st.shared_pos;
-                st.shared_pos += bytes;
-                for m in &members {
-                    resolved.push(RMember {
-                        token: m.token,
-                        node: m.node,
-                        issued: m.issued,
-                        is_async: m.is_async,
-                        offset,
-                        bytes: m.bytes,
-                    });
-                }
-            }
-        }
-
-        // Clamp: writes extend the file, reads clamp to EOF. Members left
-        // with nothing to move complete on the short software path.
-        let mut live: Vec<RMember> = Vec::with_capacity(resolved.len());
-        for mut m in resolved {
-            if write {
-                self.state(file).extend_to(m.offset + m.bytes);
-            } else {
-                m.bytes = m
-                    .bytes
-                    .min(self.files.len_of(file).saturating_sub(m.offset));
-            }
-            if m.bytes == 0 {
-                self.complete_empty_member(file, write, m, now, sched);
-            } else {
-                live.push(m);
-            }
-        }
-        if live.is_empty() {
-            self.drain_sync_waiters(file, now, sched);
-            return;
-        }
-
-        // The conforming partition of the aggregate request.
-        let extents: Vec<Extent> = live
-            .iter()
-            .map(|m| Extent {
-                offset: m.offset,
-                bytes: m.bytes,
-            })
-            .collect();
-        let domains = partition::partition(&self.cfg.layout, &extents);
-
-        if p <= 1 {
-            // Solo opener: a singleton collective has nothing to exchange.
-            self.stats.singletons += 1;
-            self.dispatch_collective(
-                now,
-                PendingExchange {
-                    file,
-                    write,
-                    members: live,
-                    domains,
-                },
-                sched,
-            );
-            return;
-        }
-
-        // Phase 1: descriptor allgather over the mesh, then the data
-        // shuffle — every member ships its overlap with each domain to
-        // that domain's aggregator (writes) or receives it (reads); the
-        // phase ends when the longest member↔aggregator message lands.
-        // Descriptor allgather touches every region, so it pays the worst
-        // link quality in force; a healthy link state is bit-identical to
-        // the plain broadcast.
-        let descriptors = self.cfg.mesh.broadcast_time_via(
-            &self.cfg.comm,
-            self.links.worst(),
-            p as u32,
-            DESCRIPTOR_BYTES * members.len() as u64,
-        );
-        let mut shuffle = SimDuration::ZERO;
-        for d in &domains {
-            let aggregator = parts[d.io_node as usize % p];
-            for m in &live {
-                if m.node == aggregator {
-                    continue;
-                }
-                let ov = d.overlap(Extent {
-                    offset: m.offset,
-                    bytes: m.bytes,
-                });
-                if ov > 0 {
-                    let hops = self.cfg.mesh.compute_hops(m.node, aggregator);
-                    // The shuffle message lands in the domain's I/O-node
-                    // region: it pays that region's link quality.
-                    let q = self.links.region(d.io_node);
-                    shuffle = shuffle.max(self.cfg.mesh.msg_time_via(&self.cfg.comm, q, hops, ov));
-                }
-            }
-        }
-        let exchange = descriptors + shuffle;
-        let ready = now + exchange;
-        self.stats.collectives += 1;
-        self.stats.members += live.len() as u64;
-        self.stats.exchange += exchange;
-
-        // The exchange is a real interval on the mesh: trace it on the
-        // lead (lowest-numbered) participant, spanning formation → ready,
-        // with the aggregate extent.
-        let union_lo = domains
-            .iter()
-            .flat_map(|d| d.pieces.first())
-            .map(|e| e.offset)
-            .min()
-            .unwrap_or(0);
-        let total: u64 = domains.iter().map(|d| d.bytes).sum();
-        self.record(
-            IoEvent::new(parts[0], file, IoOp::IoWait)
-                .span(now.nanos(), ready.nanos())
-                .extent(union_lo, total),
-        );
-
-        let pending = PendingExchange {
-            file,
-            write,
-            members: live,
-            domains,
-        };
-        if ready > now {
-            let id = self.next_timer;
-            self.next_timer += 1;
-            self.exchange.insert(id, pending);
-            sched.timer(ready, id);
-        } else {
-            self.dispatch_collective(now, pending, sched);
-        }
+        self.try_trigger(fs, file, true, false, now, sched);
+        self.try_trigger(fs, file, false, false, now, sched);
     }
 
-    /// Trigger check: when every current opener has contributed to the
-    /// bucket (or `forced`), take it and form the collective.
-    fn try_trigger(
-        &mut self,
-        file: u32,
-        write: bool,
-        forced: bool,
-        now: SimTime,
-        sched: &mut Sched,
-    ) {
-        let openers = self.files.get(file).opener_count();
-        let Some(bucket) = self.gather.get_mut(&file) else {
-            return;
-        };
-        let members = if write {
-            &mut bucket.writes
-        } else {
-            &mut bucket.reads
-        };
-        if members.is_empty() {
-            return;
-        }
-        if !forced {
-            let mut nodes: Vec<NodeId> = members.iter().map(|m| m.node).collect();
-            nodes.sort_unstable();
-            nodes.dedup();
-            if nodes.len() < openers {
-                return;
-            }
-        }
-        let taken = std::mem::take(members);
-        self.form_collective(file, write, taken, forced, now, sched);
-    }
-
-    /// Apply one scheduled fault event.
-    fn apply_fault(&mut self, now: SimTime, ev: FaultEvent, sched: &mut Sched) {
-        match ev.kind {
-            FaultKind::DiskFail { disk } => {
-                if self.pump.apply_disk_fail(ev.io_node, disk) {
-                    self.fault_stats.data_loss_events += 1;
-                }
-            }
-            FaultKind::DiskRepair => self.pump.apply_disk_repair(now, ev.io_node, sched),
-            FaultKind::NodeStall { for_dur } => {
-                self.pump.apply_stall(now, ev.io_node, for_dur, sched)
-            }
-            FaultKind::NodeCrash => {
-                let lost = self.pump.crash(ev.io_node);
-                self.fault_stats.lost_segments += lost.len() as u64;
-                for req in lost {
-                    if self.pump.owns(req.id) {
-                        if let Some(cid) = self.pump.handle_rejection(
-                            now,
-                            ev.io_node,
-                            req,
-                            0,
-                            RejectReason::Down,
-                            &mut self.next_timer,
-                            sched,
-                        ) {
-                            let members = self
-                                .collectives
-                                .get(&cid)
-                                .map_or(1, |c| c.members.len() as u64);
-                            self.fault_stats.unavailable += members;
-                            self.fail_collective(cid, IoFault::Unavailable, now, sched);
-                        }
-                    }
-                }
-            }
-            FaultKind::NodeRecover => self.pump.recover(now, ev.io_node, sched),
-            FaultKind::LinkDegrade { bw_div, lat_mult } => {
-                // Data-path segments into the region's I/O node stretch by
-                // the bandwidth divisor; the exchange phase consults the
-                // region's quality through the link state.
-                self.pump.apply_link_degrade(ev.io_node, bw_div);
-                self.links
-                    .degrade(ev.io_node, LinkQuality { bw_div, lat_mult });
-            }
-            FaultKind::LinkHeal => {
-                self.pump.apply_link_heal(ev.io_node);
-                self.links.heal(ev.io_node);
-            }
-            FaultKind::MetaStall { for_dur } => self.meta.stall(now, ev.io_node, for_dur),
-            FaultKind::MetaCrash => self.meta.crash(ev.io_node),
-            FaultKind::MetaRecover => self.meta.recover(ev.io_node),
-        }
-    }
-
-    /// Serve a metadata RPC through the replicated server, parking it with
-    /// bounded backoff retries when both replicas are down. A healthy run
-    /// never parks, so this is bit-identical to the historical direct path.
-    #[allow(clippy::too_many_arguments)]
-    fn meta_op(
-        &mut self,
-        now: SimTime,
-        token: IoToken,
-        node: NodeId,
-        file: u32,
-        op: IoOp,
-        cost: SimDuration,
-        bytes: u64,
-        sched: &mut Sched,
-    ) {
-        match self.meta.try_op(now, cost) {
-            MetaVerdict::Done(done) => {
-                self.recorder
-                    .complete_op(sched, token, node, file, op, now, done, None, bytes);
-            }
-            MetaVerdict::Outage => {
-                let parked = ParkedMeta {
-                    token,
-                    node,
-                    file,
-                    op,
-                    cost,
-                    bytes,
-                    issued: now,
-                    attempt: 0,
-                };
-                self.park_meta(now, parked, sched);
-            }
-        }
-    }
-
-    /// Arm one backoff retry probe for a parked metadata RPC.
-    fn park_meta(&mut self, now: SimTime, parked: ParkedMeta, sched: &mut Sched) {
-        self.meta.note_retry();
-        let id = self.next_timer;
-        self.next_timer += 1;
-        self.parked_meta.insert(id, parked);
-        sched.timer(
-            now + backoff_delay(self.fault_params.retry_base, parked.attempt),
-            id,
-        );
-    }
-
-    /// A parked metadata RPC's retry timer fired: re-probe the replicas,
-    /// park again while the retry budget lasts, then surface the outage as
-    /// a typed [`IoFault::Unavailable`] — never hang.
-    fn retry_meta(&mut self, now: SimTime, mut parked: ParkedMeta, sched: &mut Sched) {
-        match self.meta.try_op(now, parked.cost) {
-            MetaVerdict::Done(done) => {
-                self.recorder.complete_op(
-                    sched,
-                    parked.token,
-                    parked.node,
-                    parked.file,
-                    parked.op,
-                    parked.issued,
-                    done,
-                    None,
-                    parked.bytes,
-                );
-            }
-            MetaVerdict::Outage => {
-                if parked.attempt < self.fault_params.max_retries {
-                    parked.attempt += 1;
-                    self.park_meta(now, parked, sched);
-                } else {
-                    self.meta.note_unavailable();
-                    self.fault_stats.unavailable += 1;
-                    self.recorder.fail_op(
-                        sched,
-                        parked.token,
-                        parked.node,
-                        parked.file,
-                        parked.op,
-                        parked.issued,
-                        now,
-                        IoFault::Unavailable,
-                    );
-                }
-            }
-        }
-    }
-
-    /// Gather a data operation according to the file's mode, then check
-    /// the collective trigger.
-    #[allow(clippy::too_many_arguments)]
-    fn data_op(
-        &mut self,
-        now: SimTime,
-        token: IoToken,
-        node: NodeId,
-        req: IoRequest,
-        write: bool,
-        is_async: bool,
-        sched: &mut Sched,
-    ) {
-        let file = req.file;
-        let mode = self.files.get(file).mode.unwrap_or_else(|| {
-            panic!(
-                "data op on closed file {} by node {node}",
-                self.files.get(file).spec.name
-            )
-        });
-        let spec = match mode {
-            AccessMode::MUnix | AccessMode::MAsync => {
-                let st = self.state(file);
-                let pos = st.pos.entry(node).or_insert(0);
-                let offset = req.offset.unwrap_or(*pos);
-                *pos = offset + req.bytes;
-                // No atomic-write RPC: the conforming partition itself
-                // guarantees M_UNIX's non-interleaving of concurrent
-                // writers.
-                OffsetSpec::At(offset)
-            }
-            AccessMode::MRecord => {
-                let st = self.state(file);
-                let rs = *st.record_size.get_or_insert(req.bytes);
-                assert_eq!(
-                    req.bytes, rs,
-                    "M_RECORD requires fixed-size records ({rs} B) on {}",
-                    st.spec.name
-                );
-                let n = st.participants().len() as u64;
-                let rank = st.rank_of(node);
-                let k = st.op_count.entry(node).or_insert(0);
-                let record_index = *k * n + rank;
-                *k += 1;
-                OffsetSpec::At(record_index * rs)
-            }
-            AccessMode::MLog => {
-                // The exchange orders the group; the shared pointer
-                // advances in arrival order with no token serialization.
-                let st = self.state(file);
-                let offset = st.shared_pos;
-                st.shared_pos += req.bytes;
-                OffsetSpec::At(offset)
-            }
-            AccessMode::MSync => OffsetSpec::Ordered,
-            AccessMode::MGlobal => OffsetSpec::Same,
-        };
-        // Trace the async issue itself, with the offset the request
-        // resolved to (shared-pointer specs resolve at formation; the
-        // issue event reports the current shared position).
-        if is_async {
-            let resolved = match spec {
-                OffsetSpec::At(o) => o,
-                OffsetSpec::Ordered | OffsetSpec::Same => self.files.get(file).shared_pos,
-            };
-            let issue_end = now + self.cfg.io_sw.async_issue;
-            self.record(
-                IoEvent::new(node, file, IoOp::AsyncRead)
-                    .span(now.nanos(), issue_end.nanos())
-                    .extent(resolved, req.bytes),
-            );
-        }
-        let bucket = self.gather.entry(file).or_default();
-        let members = if write {
-            &mut bucket.writes
-        } else {
-            &mut bucket.reads
-        };
-        members.push(Member {
-            token,
-            node,
-            issued: now,
-            is_async,
-            bytes: req.bytes,
-            spec,
-        });
-        self.try_trigger(file, write, false, now, sched);
-    }
-}
-
-impl IoService for Cio {
-    fn submit(
-        &mut self,
-        node: NodeId,
-        now: SimTime,
-        req: IoRequest,
-        token: IoToken,
-        is_async: bool,
-        sched: &mut Sched,
-    ) {
-        match req.verb {
-            IoVerb::Open => {
-                let mode = AccessMode::from_code(req.hint)
-                    .unwrap_or_else(|| panic!("bad access-mode code {}", req.hint));
-                let create = self.state(req.file).open(node, mode);
-                let cost = if create {
-                    self.cfg.io_sw.create
-                } else {
-                    self.cfg.io_sw.open
-                };
-                self.meta_op(now, token, node, req.file, IoOp::Open, cost, 0, sched);
-            }
-            IoVerb::Close => {
-                self.state(req.file).close(node);
-                // The membership a collective waits for just shrank: a
-                // bucket the remaining openers have all contributed to can
-                // now go.
-                self.try_trigger(req.file, true, false, now, sched);
-                self.try_trigger(req.file, false, false, now, sched);
-                let cost = self.cfg.io_sw.close;
-                self.meta_op(now, token, node, req.file, IoOp::Close, cost, 0, sched);
-            }
-            IoVerb::Seek => {
-                let target = req.offset.expect("seek needs an offset");
-                let shared = self.state(req.file).opener_count() > 1;
-                let (done, distance) = if shared {
-                    // Serialized at the file's metadata owner (PFS
-                    // semantics: collective I/O does not change the
-                    // metadata path).
-                    let cost = self.cfg.io_sw.seek_shared_rpc;
-                    let free = &mut self.seek_free[req.file as usize];
-                    let start = (*free).max(now);
-                    let done = start + cost;
-                    *free = done;
-                    let st = self.state(req.file);
-                    let pos = st.pos.entry(node).or_insert(0);
-                    let distance = pos.abs_diff(target);
-                    *pos = target;
-                    (done, distance)
-                } else {
-                    let st = self.state(req.file);
-                    let pos = st.pos.entry(node).or_insert(0);
-                    let distance = pos.abs_diff(target);
-                    *pos = target;
-                    (now + self.cfg.io_sw.seek_local, distance)
-                };
-                self.recorder.complete_op(
-                    sched,
-                    token,
-                    node,
-                    req.file,
-                    IoOp::Seek,
-                    now,
-                    done,
-                    Some((target, distance)),
-                    0,
-                );
-            }
-            IoVerb::Flush => {
-                let done = now + self.cfg.io_sw.flush;
-                self.recorder.complete_op(
-                    sched,
-                    token,
-                    node,
-                    req.file,
-                    IoOp::Flush,
-                    now,
-                    done,
-                    None,
-                    0,
-                );
-            }
-            IoVerb::Lsize => {
-                let cost = self.cfg.io_sw.lsize;
-                let len = self.file_len(req.file);
-                self.meta_op(now, token, node, req.file, IoOp::Lsize, cost, len, sched);
-            }
-            IoVerb::Sync => {
-                // A commit must not park behind members that will never
-                // trigger: force-flush the file's write gather first, then
-                // wait out whatever is actually in flight.
-                self.try_trigger(req.file, true, true, now, sched);
-                if self.has_outstanding_writes(req.file) {
-                    self.syncs.park(SyncWaiter {
-                        token,
-                        node,
-                        file: req.file,
-                        issued: now,
-                    });
-                } else {
-                    self.complete_sync(token, node, req.file, now, now, sched);
-                }
-            }
-            IoVerb::Read => self.data_op(now, token, node, req, false, is_async, sched),
-            IoVerb::Write => self.data_op(now, token, node, req, true, is_async, sched),
-        }
-    }
-
-    fn on_start(&mut self, sched: &mut Sched) {
-        self.faults.arm_all(&mut self.next_timer, sched);
-    }
-
-    fn on_timer(&mut self, now: SimTime, timer: u64, sched: &mut Sched) {
-        if (timer as usize) < self.pump.len() {
-            match self.pump.node_tick(now, timer, sched) {
-                NodeTick::Stale => debug_assert!(
-                    self.faults_enabled(),
-                    "stale i/o-node timer on a healthy run"
-                ),
-                NodeTick::Rebuild => {}
-                NodeTick::Orphan => {
-                    debug_assert!(self.faults_enabled(), "segment with no owner")
-                }
-                NodeTick::Seg {
-                    owner: cid,
-                    data_lost,
-                } => {
-                    let Some(c) = self.collectives.get_mut(&cid) else {
-                        debug_assert!(self.faults_enabled(), "collective missing");
-                        return;
-                    };
-                    if data_lost {
-                        self.fault_stats.data_loss_segments += 1;
-                        c.fault = Some(IoFault::DataLoss);
-                    }
-                    c.segs_left -= 1;
-                    if c.segs_left == 0 {
-                        let Some(c) = self.collectives.remove(&cid) else {
-                            debug_assert!(false, "collective vanished: {cid}");
-                            return;
-                        };
-                        self.finish_collective(c, now, sched);
-                    }
-                }
-            }
-        } else if let Some(ev) = self.faults.take(timer) {
-            self.apply_fault(now, ev, sched);
-        } else if let Some(r) = self.pump.take_retry(timer) {
-            // Retry only while the owning collective is still alive.
-            if self.pump.owns(r.req.id) {
-                self.submit_or_fail(now, r.io, r.req, r.attempt, sched);
-            }
-        } else if let Some(cid) = self.timeout_timers.remove(&timer) {
-            if self.collectives.contains_key(&cid) {
-                self.fault_stats.timeouts += 1;
-                self.fail_collective(cid, IoFault::Timeout, now, sched);
-            }
-        } else if let Some(parked) = self.parked_meta.remove(&timer) {
-            self.retry_meta(now, parked, sched);
-        } else {
-            // Phase-1 exchange complete: dispatch the collective.
-            let x = self.exchange.remove(&timer).expect("unknown timer");
-            self.dispatch_collective(now, x, sched);
-        }
-    }
-
-    fn issue_cost(&self, _node: NodeId, _req: &IoRequest) -> SimDuration {
-        self.cfg.io_sw.async_issue
-    }
-
-    fn on_iowait(&mut self, node: NodeId, file: u32, wait_start: SimTime, wait_end: SimTime) {
-        self.recorder.iowait(node, file, wait_start, wait_end);
+    /// A commit must not park behind members that will never trigger:
+    /// force-flush the file's write gather first.
+    fn on_sync(&mut self, fs: &mut Substrate, now: SimTime, file: u32, sched: &mut Sched) {
+        self.try_trigger(fs, file, true, true, now, sched);
     }
 }
 
@@ -1306,15 +778,21 @@ mod tests {
     use super::*;
     use paragon_sim::mesh::Mesh;
     use paragon_sim::program::{NodeProgram, ScriptOp, ScriptProgram};
-    use paragon_sim::Engine;
-    use sio_core::trace::Trace;
+    use paragon_sim::{Engine, FaultSchedule, MachineConfig};
+    use sio_core::trace::{Trace, TraceSink};
+    use sio_fskit::{FileSpec, FsShell};
 
     fn run_engine(
         machine: &MachineConfig,
         files: Vec<FileSpec>,
         scripts: Vec<Vec<ScriptOp>>,
-    ) -> (Engine<Cio>, paragon_sim::EngineReport) {
-        let mut cio = Cio::new(machine, TraceSink::new("test"));
+    ) -> (Engine<FsShell<Cio>>, paragon_sim::EngineReport) {
+        let mut cio = FsShell::new(
+            machine,
+            TraceSink::new("test"),
+            FaultSchedule::new(),
+            Cio::default(),
+        );
         for f in files {
             cio.register(f);
         }
@@ -1360,7 +838,7 @@ mod tests {
             ScriptOp::Io(IoRequest::close(0)),
         ];
         let (engine, report) = run_engine(&machine(), vec![FileSpec::output("f")], vec![script]);
-        let stats = engine.service().cio_stats();
+        let stats = engine.service().policy().stats();
         assert_eq!(stats.singletons, 2);
         assert_eq!(stats.collectives, 0);
         assert_eq!(stats.exchange, SimDuration::ZERO);
@@ -1391,7 +869,7 @@ mod tests {
             vec![FileSpec::output("stage")],
             (0..4).map(mk).collect(),
         );
-        let stats = engine.service().cio_stats();
+        let stats = engine.service().policy().stats();
         assert_eq!(stats.collectives, 1);
         assert_eq!(stats.members, 4);
         assert_eq!(stats.aggregated_extents, 2);
@@ -1433,7 +911,7 @@ mod tests {
             vec![FileSpec::output("x")],
             (0..4).map(mk).collect(),
         );
-        let exchange = engine.service().cio_stats().exchange;
+        let exchange = engine.service().policy().stats().exchange;
         let trace = engine.into_service().finish_trace();
         let waits: Vec<_> = trace.of_op(IoOp::IoWait).collect();
         assert_eq!(waits.len(), 1);
@@ -1483,7 +961,7 @@ mod tests {
             ScriptOp::Io(IoRequest::close(0)),
         ];
         let (engine, _) = run_engine(&machine(), vec![FileSpec::output("f")], vec![s0, s1]);
-        assert_eq!(engine.service().cio_stats().flushed_partial, 1);
+        assert_eq!(engine.service().policy().stats().flushed_partial, 1);
         assert_eq!(engine.service().file_len(0), 4096);
         let trace = engine.into_service().finish_trace();
         // The commit interval is traced and spans the flushed write.

@@ -15,12 +15,13 @@
 //!   extents → sorted disjoint union → per-I/O-node aggregated domains
 //!   (maximal runs contiguous in node-local array space), independent of
 //!   extent arrival order;
-//! * [`fs`] — [`fs::Cio`], the [`paragon_sim::IoService`] implementation:
-//!   PFS-identical metadata semantics over the shared `sio-fskit`
-//!   substrate, a per-file gather that triggers when every opener has
-//!   contributed, a timed extent-exchange phase (real mesh message costs),
-//!   and phase-2 aggregated dispatch through the shared [`SegmentPump`]
-//!   under the buddy-failover policy.
+//! * [`fs`] — [`fs::Cio`], the collective [`sio_fskit::Policy`]: a
+//!   per-file gather that triggers when every opener has contributed, a
+//!   timed extent-exchange phase (real mesh message costs), and phase-2
+//!   aggregated dispatch through the shared [`SegmentPump`] under the
+//!   buddy-failover policy. `sio_fskit::FsShell<Cio>` is the
+//!   [`paragon_sim::IoService`], with PFS-identical metadata semantics
+//!   served by the shell.
 //!
 //! [`SegmentPump`]: sio_fskit::SegmentPump
 
@@ -30,7 +31,7 @@ pub mod fs;
 pub mod partition;
 
 pub use file::FileSpec;
-pub use fs::{Cio, CioConfig, CioFaultStats, CioStats};
+pub use fs::{Cio, CioStats};
 pub use layout::StripeLayout;
 pub use mode::AccessMode;
 pub use partition::{Domain, Extent};

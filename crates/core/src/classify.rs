@@ -13,10 +13,8 @@
 //! (offsets repeat with a period — HTF's repeated passes over the integral
 //! files), and **random** (none of the above).
 
-use serde::{Deserialize, Serialize};
-
 /// Classified access pattern.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessPattern {
     /// Too few observations to decide.
     Unknown,

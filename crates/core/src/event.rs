@@ -7,8 +7,6 @@
 //! paper); every reduction and statistic in this crate consumes streams of
 //! these events.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a (compute) node. Matches the Paragon's logical node number.
 pub type NodeId = u32;
 
@@ -32,7 +30,7 @@ pub const NS_PER_SEC: f64 = 1.0e9;
 /// reads, writes, seeks, opens, and closes, plus the asynchronous read /
 /// I/O-wait pair observed in RENDER (Table 3) and the Fortran `lsize` /
 /// `forflush` calls observed in HTF (Table 5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[repr(u8)]
 pub enum IoOp {
     /// Synchronous (blocking) read.
@@ -110,7 +108,7 @@ impl IoOp {
 }
 
 /// One instrumented I/O call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IoEvent {
     /// Node that issued the call.
     pub node: NodeId,

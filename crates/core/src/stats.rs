@@ -6,10 +6,8 @@
 //! here. [`SizeHistogram`] uses exactly the bins of Tables 2, 4, and 6:
 //! `< 4 KB`, `< 64 KB`, `< 256 KB`, `≥ 256 KB`.
 
-use serde::{Deserialize, Serialize};
-
 /// Streaming summary statistics (Welford's algorithm), mergeable.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SummaryStats {
     count: u64,
     mean: f64,
@@ -112,7 +110,7 @@ impl SummaryStats {
 ///
 /// Bins are half-open and mutually exclusive, exactly as in Tables 2/4/6:
 /// a 3 KB request counts only in the `< 4 KB` column.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SizeHistogram {
     /// Requests with size < 4 KB.
     pub under_4k: u64,
@@ -249,7 +247,7 @@ impl Quantiles {
 }
 
 /// Power-of-two histogram for free-form distributions (durations, gaps).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Pow2Histogram {
     /// `bins[i]` counts values `v` with `2^(i-1) <= v < 2^i` (bin 0: `v == 0`
     /// or `v == 1` land in bins 0/1 respectively via `ilog2`).

@@ -15,11 +15,10 @@
 //! metadata. All reductions, tables, and figures are computed from a `Trace`.
 
 use crate::event::{IoEvent, IoOp, Ns};
-use serde::{Deserialize, Serialize};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Metadata describing a captured trace.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceMeta {
     /// Human-readable label ("escat", "render", "htf-pscf", ...).
     pub label: String,
@@ -30,7 +29,7 @@ pub struct TraceMeta {
 }
 
 /// A frozen, analyzable trace: events in capture order plus metadata.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Trace {
     meta: TraceMeta,
     events: Vec<IoEvent>,

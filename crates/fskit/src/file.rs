@@ -9,11 +9,10 @@
 
 use crate::mode::AccessMode;
 use paragon_sim::{NodeId, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Static description of a registered file.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FileSpec {
     /// Human-readable name (reports only).
     pub name: String,

@@ -7,8 +7,6 @@
 //! units that are contiguous in node-local space (consecutive units owned by
 //! the same node always are — their global indices differ by `N`).
 
-use serde::{Deserialize, Serialize};
-
 /// PFS default stripe unit (§3.2): 64 KB.
 pub const DEFAULT_STRIPE_UNIT: u64 = 64 * 1024;
 
@@ -24,7 +22,7 @@ pub struct Segment {
 }
 
 /// Round-robin stripe map.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StripeLayout {
     /// Stripe unit, bytes.
     pub unit: u64,

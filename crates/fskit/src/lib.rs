@@ -1,15 +1,21 @@
 //! # sio-fskit — the shared client-side file-system substrate
 //!
-//! Both simulator backends — `sio-pfs` (the Intel PFS model) and `sio-ppfs`
-//! (the policy-driven portable parallel file system) — are *policies over
-//! the same substrate*: they register files in a fixed-slot allocator,
-//! decompose requests into stripe segments, push those segments through the
-//! I/O-node queues with backoff/retry on backpressure, deliver scheduled
-//! fault events, park `Sync` commits until write traffic drains, and record
-//! every application-visible interval into a Pablo-style trace. This crate
-//! holds that substrate once, so a backend is only the semantics it adds on
-//! top:
+//! All three simulator backends — `sio-pfs` (the Intel PFS model),
+//! `sio-ppfs` (the policy-driven portable parallel file system) and
+//! `sio-cio` (collective two-phase I/O) — are *policies over the same
+//! substrate*: they register files in a fixed-slot allocator, decompose
+//! requests into stripe segments, push those segments through the I/O-node
+//! queues with backoff/retry on backpressure, deliver scheduled fault
+//! events, park `Sync` commits until write traffic drains, and record every
+//! application-visible interval into a Pablo-style trace. This crate holds
+//! that substrate once, and [`FsShell`] serves it as one
+//! [`paragon_sim::engine::IoService`], so a backend is only the [`Policy`]
+//! it adds on top:
 //!
+//! * [`shell`] — [`FsShell`], the backend shell: metadata verbs with outage
+//!   parking, `Seek`/`Flush`, `Sync` parking and commit, the shared fault
+//!   arms and timer routing over a [`Substrate`], generic over the
+//!   backend's [`Policy`]; and [`FaultStats`], the fault counters;
 //! * [`config`] — [`FsConfig`], the machine-derived substrate configuration
 //!   (stripe map, software costs, fixed-slot allocator geometry);
 //! * [`layout`] — the 64 KB round-robin stripe map from file offsets to
@@ -22,8 +28,8 @@
 //! * [`client`] — [`ClientPath`], the per-node serial client copy path;
 //! * [`pump`] — [`SegmentPump`], the submit → queue-full backoff/retry →
 //!   completion state machine over the I/O nodes, with a per-backend
-//!   [`FailoverPolicy`] (buddy-node failover for PFS, stripe-pinned
-//!   retry/replay for PPFS);
+//!   [`FailoverPolicy`] (buddy-node failover for PFS and CIO,
+//!   stripe-pinned retry/replay for PPFS);
 //! * [`fault`] — [`FaultRouter`], timer-based delivery of a
 //!   [`paragon_sim::FaultSchedule`];
 //! * [`sync`] — [`SyncLedger`], parking/drain bookkeeping for `Sync`
@@ -31,11 +37,10 @@
 //! * [`recorder`] — [`TraceRecorder`], application-visible interval tracing
 //!   and completion plumbing shared by every verb handler.
 //!
-//! Determinism contract: every method that arms a timer takes the backend's
-//! timer-id counter (`ids: &mut u64`) so id allocation order — and with it
-//! the engine's FIFO tie-breaking — is exactly what a hand-inlined
-//! implementation would produce. The golden-trace suites pin this down
-//! byte-for-byte.
+//! Determinism contract: every timer id comes from the shell's one counter
+//! in call order (see [`shell`]), so the engine's FIFO tie-breaking is
+//! exactly what a hand-inlined implementation would produce. The
+//! golden-trace suites pin this down byte-for-byte.
 
 pub mod client;
 pub mod config;
@@ -45,6 +50,7 @@ pub mod layout;
 pub mod mode;
 pub mod pump;
 pub mod recorder;
+pub mod shell;
 pub mod sync;
 pub mod table;
 
@@ -55,6 +61,7 @@ pub use file::{FileSpec, FileState};
 pub use layout::{Segment, StripeLayout};
 pub use mode::AccessMode;
 pub use pump::{FailoverPolicy, NodeLoad, NodeTick, PumpStats, RetrySeg, SegmentPump};
-pub use recorder::TraceRecorder;
+pub use recorder::{data_op_kind, TraceRecorder};
+pub use shell::{FaultStats, FsShell, Policy, Substrate};
 pub use sync::{SyncLedger, SyncWaiter};
 pub use table::{FileTable, MetaServer, MetaStats, MetaVerdict};

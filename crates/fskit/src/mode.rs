@@ -16,10 +16,8 @@
 //! (§5.2); RENDER avoided `M_RECORD` because it forces all nodes to
 //! participate (§6.2).
 
-use serde::{Deserialize, Serialize};
-
 /// A PFS parallel file access mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u32)]
 pub enum AccessMode {
     /// Independent file pointer per node; no coordination.

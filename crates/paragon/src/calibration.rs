@@ -12,7 +12,6 @@ use crate::disk::DiskParams;
 use crate::mesh::CommCosts;
 use crate::raid::RaidParams;
 use crate::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Interconnect costs for the Paragon 2-D mesh.
 ///
@@ -68,7 +67,7 @@ pub fn raid_params() -> RaidParams {
 /// | `lsize`             | Table 5 (pargos): 128 calls total 15.3 s → ≈ 120 ms incl. queueing |
 /// | `server_per_request`| Table 1: 2 KB synchronized writes average ~1.2 s incl. queueing; per-segment server CPU ≈ 20 ms puts the burst regime in range |
 /// | `client_byte_rate`  | §6.2: gateway sequential read throughput ≈ 9.5 MB/s despite a ~140 MB/s array aggregate — the client copy path is the limiter |
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct IoSwCosts {
     /// Cost to issue an asynchronous operation (client side).
     pub async_issue: SimDuration,
@@ -118,7 +117,7 @@ pub struct IoSwCosts {
 ///   above any legitimate queueing delay observed in the paper-scale runs
 ///   (worst bursts are tens of seconds), so it only fires when a fault
 ///   leaves a request truly stuck.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct FaultParams {
     /// Member bytes serviced per background rebuild chunk.
     pub rebuild_chunk: u64,
@@ -163,7 +162,7 @@ pub fn fault_params() -> FaultParams {
 /// * `frame_bytes` — per-record framing overhead (magic, epoch, extent,
 ///   checksum) charged against log capacity, mirroring the on-log layout
 ///   used by the byte-level recovery model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogDeviceParams {
     /// Fixed commit latency per appended record.
     pub append_latency: SimDuration,

@@ -11,10 +11,9 @@
 use crate::time::{transfer_time, SimDuration};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Disk mechanism parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct DiskParams {
     /// Usable capacity, bytes.
     pub capacity: u64,

@@ -18,10 +18,9 @@
 use crate::time::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// What happens to the target I/O node when a [`FaultEvent`] fires.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
     /// Fail one member disk (data or parity) of the node's RAID-3 array.
     /// A second `DiskFail` on the same array marks it data-lost.
@@ -73,7 +72,7 @@ pub enum FaultKind {
 
 /// Which layer of the machine a [`FaultKind`] strikes. The chaos campaign
 /// aggregates availability and latency per domain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultDomain {
     /// RAID member-disk failures and rebuilds.
     Disk,
@@ -123,7 +122,7 @@ pub const META_REPLICAS: u32 = 2;
 /// an I/O-node index for disk and node kinds, a link-region index (one
 /// region per I/O node's edge links) for link kinds, and a metadata replica
 /// index (`0..`[`META_REPLICAS`]) for meta kinds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultEvent {
     /// Absolute simulation time at which the fault fires.
     pub at: SimTime,
@@ -134,7 +133,7 @@ pub struct FaultEvent {
 }
 
 /// A deterministic, time-ordered fault schedule.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultSchedule {
     events: Vec<FaultEvent>,
 }

@@ -24,11 +24,10 @@
 
 use crate::raid::Raid3;
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Queue discipline for pending segments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueueDiscipline {
     /// First-come-first-served (the PFS default; our baseline).
     Fifo,

@@ -12,10 +12,9 @@ use crate::disk::DiskParams;
 use crate::ionode::{IoNodeSim, QueueDiscipline};
 use crate::mesh::{CommCosts, Mesh};
 use crate::raid::{Raid3, RaidParams};
-use serde::{Deserialize, Serialize};
 
 /// Full machine description.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MachineConfig {
     /// Compute nodes available to applications.
     pub compute_nodes: u32,

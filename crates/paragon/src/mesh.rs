@@ -12,10 +12,9 @@
 
 use crate::time::{transfer_time, SimDuration};
 use crate::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// Interconnect cost parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CommCosts {
     /// Per-message software (setup) overhead, ns.
     pub sw_overhead: SimDuration,
@@ -37,7 +36,7 @@ impl Default for CommCosts {
 /// [`CommCosts`]. A region covers the edge links serving one I/O node —
 /// the granularity at which the chaos layer's `LinkDegrade`/`LinkHeal`
 /// fault events strike.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkQuality {
     /// Bandwidth divisor, ≥ 1 (1 = healthy).
     pub bw_div: f64,
@@ -115,7 +114,7 @@ impl LinkState {
 
 /// 2-D mesh geometry with compute nodes in the body and I/O nodes on the
 /// right edge column.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Mesh {
     /// Mesh rows.
     pub rows: u32,

@@ -13,7 +13,6 @@
 
 use crate::time::SimDuration;
 use crate::NodeId;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Identifier of a node group used for barriers and collectives. Group 0 is
@@ -27,7 +26,7 @@ pub type IoToken = u64;
 /// The file-system verbs a node can invoke. Interpretation (pointer
 /// semantics, striping, coordination) belongs to the attached
 /// [`crate::engine::IoService`] — the engine only routes requests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IoVerb {
     /// Open (or create) a registered file. `hint` carries the service's
     /// access-mode code.
@@ -53,7 +52,7 @@ pub enum IoVerb {
 }
 
 /// One file-system call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IoRequest {
     /// File identifier (registered with the service before the run).
     pub file: u32,

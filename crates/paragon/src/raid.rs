@@ -20,11 +20,10 @@
 
 use crate::disk::{Disk, DiskParams};
 use crate::time::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// RAID-3 array parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct RaidParams {
     /// Data disks (the CCSF arrays had 4).
     pub data_disks: u32,

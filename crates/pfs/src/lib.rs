@@ -13,10 +13,11 @@
 //!   their pointer/coordination semantics;
 //! * [`file`](mod@file) (re-exported from `sio-fskit`) — file registration
 //!   and runtime state (length, openers, pointers, record bookkeeping);
-//! * [`fs`] — [`fs::Pfs`], the [`paragon_sim::IoService`] implementation:
-//!   metadata-server queueing for opens/closes/shared seeks, per-mode data
-//!   dispatch through the shared segment pump with buddy-node failover,
-//!   and Pablo tracing of every call.
+//! * [`fs`] — [`fs::Pfs`], the PFS [`sio_fskit::Policy`]: per-mode data
+//!   dispatch through the shared segment pump with buddy-node failover.
+//!   `sio_fskit::FsShell<Pfs>` is the [`paragon_sim::IoService`]; the shell
+//!   serves the metadata verbs (metadata-server queueing for
+//!   opens/closes/shared seeks), `Sync`, faults, and timer routing.
 //!
 //! Every application-visible operation is recorded through a
 //! [`sio_core::Tracer`], producing the traces the analysis crate turns into
@@ -27,6 +28,7 @@ pub use sio_fskit::{file, layout, mode};
 pub mod fs;
 
 pub use file::FileSpec;
-pub use fs::{FaultStats, Pfs, PfsConfig};
+pub use fs::Pfs;
 pub use layout::StripeLayout;
 pub use mode::AccessMode;
+pub use sio_fskit::FaultStats;

@@ -8,11 +8,10 @@
 //! the cognitive burden of access specification".
 
 use crate::policy::{Eviction, PolicyConfig, PrefetchPolicy};
-use serde::{Deserialize, Serialize};
 use sio_core::classify::AccessPattern;
 
 /// Per-file overrides of the global policy (unset fields inherit).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FileAdvice {
     /// Override the prefetch policy for this file.
     pub prefetch: Option<PrefetchPolicy>,

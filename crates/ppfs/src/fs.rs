@@ -1,5 +1,5 @@
-//! The PPFS model: a policy-driven [`IoService`] over the same I/O-node
-//! substrate as `sio-pfs`.
+//! The PPFS model: a policy-driven [`Policy`] over the same backend shell
+//! and I/O-node substrate as `sio-pfs`.
 //!
 //! Differences from PFS, all policy-driven and all directly comparable on
 //! identical workloads:
@@ -14,10 +14,11 @@
 //!   that drains in the background as few large sequential requests (§5.2's
 //!   policy pair).
 //!
-//! The shared mechanics — file registry, stripe segment pump with
-//! stripe-pinned retry/replay, fault delivery, `Sync` parking, and interval
-//! tracing — live in `sio-fskit`; this module is the PPFS policy layer
-//! (caching, prefetch, write-behind, transfer routing) on top.
+//! The shared mechanics — file registry, metadata verbs, stripe segment
+//! pump with stripe-pinned retry/replay, fault delivery, `Sync` parking,
+//! and interval tracing — live in the `sio-fskit` shell; this module is the
+//! PPFS policy layer (caching, prefetch, write-behind, transfer routing) on
+//! top.
 //!
 //! Tracing matches PFS: the application-visible interval of every call is
 //! recorded, so the paper's tables can be regenerated for either file
@@ -29,23 +30,13 @@ use crate::policy::PolicyConfig;
 use crate::prefetch::StreamPrefetcher;
 use crate::write_behind::{DirtyBuffer, Extent};
 use paragon_sim::calibration::FaultParams;
-use paragon_sim::engine::{IoService, Sched};
-use paragon_sim::fault::{FaultEvent, FaultKind, FaultSchedule};
-use paragon_sim::program::{IoFault, IoRequest, IoResult, IoToken, IoVerb};
-
+use paragon_sim::engine::Sched;
+use paragon_sim::program::{IoRequest, IoResult, IoToken};
 use paragon_sim::{MachineConfig, NodeId, SimDuration, SimTime};
 use sio_core::event::{IoEvent, IoOp};
 use sio_core::hash::{FastMap, FastSet};
-use sio_core::trace::{Trace, TraceSink};
-use sio_fskit::client::ClientPath;
-use sio_fskit::config::FsConfig;
-use sio_fskit::fault::FaultRouter;
-use sio_fskit::file::FileSpec;
-use sio_fskit::mode::AccessMode;
-use sio_fskit::pump::{backoff_delay, FailoverPolicy, NodeLoad, NodeTick, SegmentPump};
-use sio_fskit::recorder::TraceRecorder;
-use sio_fskit::sync::{SyncLedger, SyncWaiter};
-use sio_fskit::table::{FileTable, MetaServer, MetaStats, MetaVerdict};
+use sio_fskit::pump::FailoverPolicy;
+use sio_fskit::{Policy, Substrate};
 
 /// Running statistics of a PPFS instance.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -129,32 +120,10 @@ struct ReadPending {
     blocks_left: u32,
 }
 
-/// A metadata RPC parked by a full metadata outage, awaiting a backoff
-/// retry probe.
-#[derive(Debug, Clone, Copy)]
-struct ParkedMeta {
-    token: IoToken,
-    node: NodeId,
-    file: u32,
-    op: IoOp,
-    cost: SimDuration,
-    /// Result bytes on success (file length for `Lsize`, 0 otherwise).
-    bytes: u64,
-    issued: SimTime,
-    /// Retry probes already made.
-    attempt: u32,
-}
-
-/// The PPFS file system.
+/// The PPFS policy. Run it as `FsShell<Ppfs>`; its write-behind flush
+/// timer is the shell's one reserved policy timer, id `pump.len()`.
 pub struct Ppfs {
-    cfg: FsConfig,
     policy: PolicyConfig,
-    /// Shared segment pump, stripe-pinned: a down node parks segments for
-    /// replay, a full queue retries forever with capped backoff.
-    pump: SegmentPump,
-    files: FileTable,
-    recorder: TraceRecorder,
-    meta: MetaServer,
     seed: u64,
     caches: FastMap<NodeId, BlockCache>,
     prefetchers: FastMap<(NodeId, u32), StreamPrefetcher>,
@@ -167,51 +136,22 @@ pub struct Ppfs {
     block_waiters: FastMap<(NodeId, u32, u64), Vec<u64>>,
     flush_timer_armed: bool,
     stats: PpfsStats,
-    /// Per-node serial client copy path (shared model with PFS).
-    client: ClientPath,
     /// Per-I/O-node server caches (empty when disabled).
     server_caches: Vec<BlockCache>,
     /// Pending server-cache hit deliveries: timer id -> (node, file, blocks).
     fetch_hits: FastMap<u64, (NodeId, u32, Vec<u64>)>,
-    /// Next server-hit timer id (above the ionode and flush timer ids); also
-    /// allocates fault-event and backoff-retry timer ids.
-    next_timer: u64,
     /// Per-file policy advice (paper §10: advertised access patterns).
     advice: FastMap<u32, FileAdvice>,
-    /// Scheduled fault delivery (armed at run start; empty on healthy runs).
-    faults: FaultRouter,
-    /// Fault-handling calibration (meta-RPC backoff and retry budget).
-    fault_params: FaultParams,
-    /// Metadata RPCs parked by a full outage (timer id -> parked RPC).
-    parked_meta: FastMap<u64, ParkedMeta>,
-    /// `Sync` commits parked until their file's write-back traffic lands.
-    syncs: SyncLedger,
     /// Files whose contents are reconstructible from a durable checkpoint
     /// (splits the dirty-loss accounting into checkpointed vs lost work).
     checkpoint_covered: FastSet<u32>,
 }
 
 impl Ppfs {
-    /// Build a PPFS over the machine with the given policy, tracing into
-    /// `sink` (owned; take the frozen trace back with [`Ppfs::finish_trace`]
-    /// after the run).
-    pub fn new(machine: &MachineConfig, policy: PolicyConfig, sink: TraceSink) -> Ppfs {
-        Ppfs::with_faults(machine, policy, sink, FaultSchedule::new())
-    }
-
-    /// Build a PPFS with an injected fault schedule. An empty schedule is
-    /// exactly [`Ppfs::new`]: no fault timers are armed and the run is
-    /// bit-identical to a healthy one.
-    pub fn with_faults(
-        machine: &MachineConfig,
-        policy: PolicyConfig,
-        sink: TraceSink,
-        schedule: FaultSchedule,
-    ) -> Ppfs {
-        let ionodes = machine.build_io_nodes();
-        let faults = FaultRouter::new(schedule, ionodes.len());
+    /// A PPFS policy for `machine` with the given configuration.
+    pub fn new(machine: &MachineConfig, policy: PolicyConfig) -> Ppfs {
         let server_caches: Vec<BlockCache> = if policy.server_cache_blocks > 0 {
-            (0..ionodes.len())
+            (0..machine.io_nodes)
                 .map(|i| {
                     BlockCache::new(
                         policy.server_cache_blocks,
@@ -223,18 +163,8 @@ impl Ppfs {
         } else {
             Vec::new()
         };
-        let next_timer = ionodes.len() as u64 + 1;
-        let cfg = FsConfig::from_machine(machine);
         Ppfs {
             policy,
-            pump: SegmentPump::new(
-                ionodes,
-                FailoverPolicy::StripePinned,
-                machine.fault.retry_base,
-            ),
-            files: FileTable::new(cfg.file_slot, cfg.array_capacity),
-            recorder: TraceRecorder::new(sink),
-            meta: MetaServer::new(),
             seed: machine.seed,
             caches: FastMap::default(),
             prefetchers: FastMap::default(),
@@ -246,17 +176,10 @@ impl Ppfs {
             block_waiters: FastMap::default(),
             flush_timer_armed: false,
             stats: PpfsStats::default(),
-            client: ClientPath::new(),
             server_caches,
             fetch_hits: FastMap::default(),
-            next_timer,
             advice: FastMap::default(),
-            faults,
-            fault_params: machine.fault,
-            parked_meta: FastMap::default(),
-            syncs: SyncLedger::new(),
             checkpoint_covered: FastSet::default(),
-            cfg,
         }
     }
 
@@ -284,104 +207,14 @@ impl Ppfs {
         }
     }
 
-    /// Register a file; returns its id.
-    pub fn register(&mut self, spec: FileSpec) -> u32 {
-        self.files.register(spec)
-    }
-
-    /// Register a file, returning a typed [`IoFault::Unavailable`] when the
-    /// fixed-slot allocator is exhausted.
-    pub fn try_register(&mut self, spec: FileSpec) -> Result<u32, IoFault> {
-        self.files.try_register(spec)
-    }
-
-    /// Running statistics (backend counters merged with the shared pump's).
-    pub fn stats(&self) -> PpfsStats {
+    /// Running statistics: the policy's counters merged with the shared
+    /// pump's (`fs` is the shell's substrate).
+    pub fn stats(&self, fs: &Substrate) -> PpfsStats {
         let mut s = self.stats;
-        let p = self.pump.stats();
+        let p = fs.pump.stats();
         s.segments += p.segments;
         s.replayed_segments += p.replayed;
         s
-    }
-
-    /// Rebuild chunks completed across all I/O nodes.
-    pub fn rebuild_chunks_total(&self) -> u64 {
-        self.pump.rebuild_chunks_total()
-    }
-
-    /// Member bytes rebuilt across all I/O nodes.
-    pub fn rebuilt_bytes_total(&self) -> u64 {
-        self.pump.rebuilt_bytes_total()
-    }
-
-    /// I/O nodes whose arrays are still degraded.
-    pub fn degraded_nodes(&self) -> u32 {
-        self.pump.degraded_nodes()
-    }
-
-    /// Accepted-request accounting per I/O node.
-    pub fn node_loads(&self) -> Vec<NodeLoad> {
-        self.pump.node_loads()
-    }
-
-    /// Whether any accepted write was lost to exhausted redundancy.
-    pub fn any_data_lost(&self) -> bool {
-        self.pump.any_data_lost()
-    }
-
-    /// Accept one coalesced burst-log drain extent as a background write
-    /// through the stripe-pinned pump (capped backoff, park/replay on
-    /// crash). The caller owns `token`; no application event is traced.
-    #[allow(clippy::too_many_arguments)]
-    pub fn submit_drain(
-        &mut self,
-        node: NodeId,
-        now: SimTime,
-        file: u32,
-        offset: u64,
-        bytes: u64,
-        token: IoToken,
-        sched: &mut Sched,
-    ) {
-        self.files.state(file).extend_to(offset + bytes);
-        let tid = self.next_transfer;
-        self.next_transfer += 1;
-        let segs = self.submit_extent(now, tid, file, offset, bytes, true, sched);
-        if segs == 0 {
-            // Degenerate extent: nothing staged, complete immediately.
-            sched.complete_io(
-                token,
-                now,
-                IoResult {
-                    bytes,
-                    queued: SimDuration::ZERO,
-                    service: SimDuration::ZERO,
-                    fault: None,
-                },
-            );
-            return;
-        }
-        self.transfers.insert(
-            tid,
-            Transfer::Drain {
-                token,
-                node,
-                file,
-                bytes,
-                issued: now,
-                segs_left: segs,
-            },
-        );
-    }
-
-    /// Current length of a file.
-    pub fn file_len(&self, file: u32) -> u64 {
-        self.files.len_of(file)
-    }
-
-    /// Metadata fault-machinery counters (all zero on a healthy run).
-    pub fn meta_stats(&self) -> MetaStats {
-        self.meta.stats()
     }
 
     /// The pattern the adaptive prefetcher has inferred for a stream, if the
@@ -394,24 +227,6 @@ impl Ppfs {
         self.prefetchers.get(&(node, file)).map(|p| p.pattern())
     }
 
-    fn timer_flush_id(&self) -> u64 {
-        self.pump.len() as u64
-    }
-
-    fn record(&mut self, ev: IoEvent) {
-        self.recorder.record(ev);
-    }
-
-    /// Mutable access to the trace sink (e.g. to set run metadata).
-    pub fn sink_mut(&mut self) -> &mut TraceSink {
-        self.recorder.sink_mut()
-    }
-
-    /// Consume the file system, freezing its captured trace.
-    pub fn finish_trace(self) -> Trace {
-        self.recorder.finish()
-    }
-
     fn cache_for(&mut self, node: NodeId) -> &mut BlockCache {
         let policy = self.policy;
         let seed = self.seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(node as u64 + 1));
@@ -420,176 +235,39 @@ impl Ppfs {
             .or_insert_with(|| BlockCache::new(policy.cache_blocks, policy.eviction, seed))
     }
 
-    /// Submit the stripe segments of `[offset, offset+bytes)` of `file` to
-    /// the I/O nodes, owned by transfer `tid`. Returns the segment count.
+    /// Submit `[offset, offset + bytes)` of `file` as a new transfer built
+    /// by `make` from the segment count.
     #[allow(clippy::too_many_arguments)]
-    fn submit_extent(
+    fn submit_transfer(
         &mut self,
+        fs: &mut Substrate,
         now: SimTime,
-        tid: u64,
         file: u32,
         offset: u64,
         bytes: u64,
         write: bool,
         sched: &mut Sched,
-    ) -> u32 {
-        self.pump.submit_extent(
-            now,
-            &self.cfg.layout,
-            self.files.slot_base(file),
-            offset,
-            bytes,
-            write,
-            tid,
-            &mut self.next_timer,
-            sched,
-        )
-    }
-
-    /// Apply one scheduled fault event.
-    fn apply_fault(&mut self, now: SimTime, ev: FaultEvent, sched: &mut Sched) {
-        match ev.kind {
-            FaultKind::DiskFail { disk } => {
-                self.pump.apply_disk_fail(ev.io_node, disk);
-            }
-            FaultKind::DiskRepair => self.pump.apply_disk_repair(now, ev.io_node, sched),
-            FaultKind::NodeStall { for_dur } => {
-                self.pump.apply_stall(now, ev.io_node, for_dur, sched)
-            }
-            FaultKind::NodeCrash => {
-                // In-service and queued segments are lost. Flush segments
-                // carry write-behind data whose application writes already
-                // completed — that is the dirty-data exposure the X4 suite
-                // measures. Everything is parked for replay on recovery.
-                for req in self.pump.crash(ev.io_node) {
-                    if let Some(tid) = self.pump.owner_of(req.id) {
-                        if let Some(Transfer::Flush { file, .. }) = self.transfers.get(&tid) {
-                            self.stats.dirty_bytes_lost += req.bytes;
-                            if self.checkpoint_covered.contains(file) {
-                                self.stats.dirty_bytes_lost_checkpointed += req.bytes;
-                            }
-                        }
-                        self.pump.park_replay(ev.io_node, req);
-                    }
-                }
-            }
-            FaultKind::NodeRecover => {
-                self.pump.recover(now, ev.io_node, sched);
-                self.pump
-                    .resubmit_replays(now, ev.io_node, &mut self.next_timer, sched);
-            }
-            // PPFS has no mesh-collective phase, so a degraded link region
-            // is felt entirely as stretched segment delivery into the
-            // region's I/O node (the bandwidth divisor); the latency
-            // multiplier has no separate PPFS-visible term.
-            FaultKind::LinkDegrade { bw_div, .. } => {
-                self.pump.apply_link_degrade(ev.io_node, bw_div);
-            }
-            FaultKind::LinkHeal => self.pump.apply_link_heal(ev.io_node),
-            FaultKind::MetaStall { for_dur } => self.meta.stall(now, ev.io_node, for_dur),
-            FaultKind::MetaCrash => self.meta.crash(ev.io_node),
-            FaultKind::MetaRecover => self.meta.recover(ev.io_node),
-        }
-    }
-
-    /// Serve a metadata RPC through the replicated server, parking it with
-    /// bounded backoff retries when both replicas are down. A healthy run
-    /// never parks, so this is bit-identical to the historical direct path.
-    #[allow(clippy::too_many_arguments)]
-    fn meta_op(
-        &mut self,
-        now: SimTime,
-        token: IoToken,
-        node: NodeId,
-        file: u32,
-        op: IoOp,
-        cost: SimDuration,
-        bytes: u64,
-        sched: &mut Sched,
+        make: impl FnOnce(u32) -> Transfer,
     ) {
-        match self.meta.try_op(now, cost) {
-            MetaVerdict::Done(done) => {
-                self.recorder
-                    .complete_op(sched, token, node, file, op, now, done, None, bytes);
-            }
-            MetaVerdict::Outage => {
-                let parked = ParkedMeta {
-                    token,
-                    node,
-                    file,
-                    op,
-                    cost,
-                    bytes,
-                    issued: now,
-                    attempt: 0,
-                };
-                self.park_meta(now, parked, sched);
-            }
-        }
-    }
-
-    /// Arm one backoff retry probe for a parked metadata RPC.
-    fn park_meta(&mut self, now: SimTime, parked: ParkedMeta, sched: &mut Sched) {
-        self.meta.note_retry();
-        let id = self.next_timer;
-        self.next_timer += 1;
-        self.parked_meta.insert(id, parked);
-        sched.timer(
-            now + backoff_delay(self.fault_params.retry_base, parked.attempt),
-            id,
-        );
-    }
-
-    /// A parked metadata RPC's retry timer fired: re-probe the replicas,
-    /// park again while the retry budget lasts, then surface the outage as
-    /// a typed [`IoFault::Unavailable`] — never hang.
-    fn retry_meta(&mut self, now: SimTime, mut parked: ParkedMeta, sched: &mut Sched) {
-        match self.meta.try_op(now, parked.cost) {
-            MetaVerdict::Done(done) => {
-                self.recorder.complete_op(
-                    sched,
-                    parked.token,
-                    parked.node,
-                    parked.file,
-                    parked.op,
-                    parked.issued,
-                    done,
-                    None,
-                    parked.bytes,
-                );
-            }
-            MetaVerdict::Outage => {
-                if parked.attempt < self.fault_params.max_retries {
-                    parked.attempt += 1;
-                    self.park_meta(now, parked, sched);
-                } else {
-                    self.meta.note_unavailable();
-                    self.recorder.fail_op(
-                        sched,
-                        parked.token,
-                        parked.node,
-                        parked.file,
-                        parked.op,
-                        parked.issued,
-                        now,
-                        IoFault::Unavailable,
-                    );
-                }
-            }
-        }
+        let tid = self.next_transfer;
+        self.next_transfer += 1;
+        let segs = fs.submit_extent(now, file, offset, bytes, write, tid, sched);
+        self.transfers.insert(tid, make(segs));
     }
 
     /// I/O node owning a file block (block start decides for blocks that
     /// straddle stripe units).
-    fn block_owner(&self, block: u64) -> usize {
-        self.cfg.layout.io_node_of(block * self.policy.block_size) as usize
+    fn block_owner(&self, fs: &Substrate, block: u64) -> usize {
+        fs.cfg.layout.io_node_of(block * self.policy.block_size) as usize
     }
 
     /// Fetch a run of blocks of `file` into `node`'s cache. Blocks resident
     /// in a server cache are satisfied at server latency without touching
     /// the disk queue (two-level buffering, §8).
+    #[allow(clippy::too_many_arguments)]
     fn fetch_blocks(
         &mut self,
+        fs: &mut Substrate,
         now: SimTime,
         node: NodeId,
         file: u32,
@@ -598,7 +276,6 @@ impl Ppfs {
         sched: &mut Sched,
     ) {
         debug_assert!(!blocks.is_empty());
-        let bs = self.policy.block_size;
         // Mark everything in flight first.
         for &b in &blocks {
             self.cache_for(node)
@@ -614,7 +291,7 @@ impl Ppfs {
             disk_blocks = blocks;
         } else {
             for b in blocks {
-                let owner = self.block_owner(b);
+                let owner = self.block_owner(fs, b);
                 if self.server_caches[owner].lookup((file, b)).is_some() {
                     hit_blocks.push(b);
                 } else {
@@ -624,11 +301,8 @@ impl Ppfs {
         }
         if !hit_blocks.is_empty() {
             self.stats.server_hits += hit_blocks.len() as u64;
-            let timer = self.next_timer;
-            self.next_timer += 1;
-            let at = now + self.cfg.io_sw.server_per_request;
+            let timer = fs.arm_timer(now + fs.cfg.io_sw.server_per_request, sched);
             self.fetch_hits.insert(timer, (node, file, hit_blocks));
-            sched.timer(at, timer);
         }
         if disk_blocks.is_empty() {
             return;
@@ -636,40 +310,26 @@ impl Ppfs {
         self.stats.server_misses += disk_blocks.len() as u64;
         // Fetch contiguous disk runs; server-cache filtering may have
         // fragmented the original run.
-        let mut run: Vec<u64> = Vec::new();
-        let submit_run = |this: &mut Ppfs, run: Vec<u64>, sched: &mut Sched| {
-            if run.is_empty() {
-                return;
-            }
-            let offset = run[0] * bs;
-            let bytes = run.len() as u64 * bs;
-            let tid = this.next_transfer;
-            this.next_transfer += 1;
-            let segs = this.submit_extent(now, tid, file, offset, bytes, false, sched);
-            this.transfers.insert(
-                tid,
+        let bs = self.policy.block_size;
+        for run in runs(disk_blocks) {
+            let (offset, bytes) = (run[0] * bs, run.len() as u64 * bs);
+            self.submit_transfer(fs, now, file, offset, bytes, false, sched, |segs| {
                 Transfer::Fetch {
                     node,
                     file,
                     blocks: run,
                     segs_left: segs,
-                },
-            );
-        };
-        for b in disk_blocks {
-            if run.last().is_some_and(|&p| p + 1 != b) {
-                let r = std::mem::take(&mut run);
-                submit_run(self, r, sched);
-            }
-            run.push(b);
+                }
+            });
         }
-        submit_run(self, run, sched);
     }
 
     /// Blocks arrived for `node`: mark present (client + server caches) and
     /// complete any reads that were waiting on them.
+    #[allow(clippy::too_many_arguments)]
     fn complete_blocks(
         &mut self,
+        fs: &mut Substrate,
         now: SimTime,
         node: NodeId,
         file: u32,
@@ -681,7 +341,7 @@ impl Ppfs {
         for b in blocks {
             self.cache_for(node).mark_present((file, b));
             if install_server && !self.server_caches.is_empty() {
-                let owner = self.block_owner(b);
+                let owner = self.block_owner(fs, b);
                 self.server_caches[owner].insert((file, b), BlockState::Present);
             }
             let Some(waiters) = self.block_waiters.remove(&(node, file, b)) else {
@@ -697,10 +357,10 @@ impl Ppfs {
                 };
                 if ready {
                     let r = self.reads.remove(&rid).unwrap();
-                    let rate = self.cfg.io_sw.client_byte_rate;
-                    let done = self.client.copy_done(r.node, now + hit_cost, r.bytes, rate);
+                    let rate = fs.cfg.io_sw.client_byte_rate;
+                    let done = fs.client.copy_done(r.node, now + hit_cost, r.bytes, rate);
                     if !r.is_async {
-                        self.record(
+                        fs.recorder.record(
                             IoEvent::new(r.node, r.file, IoOp::Read)
                                 .span(r.issued.nanos(), done.nanos())
                                 .extent(r.offset, r.bytes),
@@ -722,56 +382,62 @@ impl Ppfs {
     }
 
     /// Flush one (node, file) dirty buffer to the I/O nodes.
-    fn flush_dirty(&mut self, now: SimTime, node: NodeId, file: u32, sched: &mut Sched) {
+    fn flush_dirty(
+        &mut self,
+        fs: &mut Substrate,
+        now: SimTime,
+        node: NodeId,
+        file: u32,
+        sched: &mut Sched,
+    ) {
+        let aggregation = self.policy_for(file).aggregation;
+        let block_size = self.policy.block_size;
         let Some(buf) = self.dirty.get_mut(&(node, file)) else {
             return;
         };
         if buf.is_empty() {
             return;
         }
-        let aggregation = self.policy_for(file).aggregation;
-        let extents = {
-            let buf = self.dirty.get_mut(&(node, file)).unwrap();
-            buf.drain(aggregation, self.policy.block_size)
-        };
-        for Extent { offset, bytes } in extents {
-            let tid = self.next_transfer;
-            self.next_transfer += 1;
-            let segs = self.submit_extent(now, tid, file, offset, bytes, true, sched);
-            self.transfers.insert(
-                tid,
+        for Extent { offset, bytes } in buf.drain(aggregation, block_size) {
+            self.submit_transfer(fs, now, file, offset, bytes, true, sched, |segs| {
                 Transfer::Flush {
                     file,
                     segs_left: segs,
-                },
-            );
+                }
+            });
             self.stats.flush_extents += 1;
             self.stats.flushed_bytes += bytes;
         }
     }
 
-    fn flush_all(&mut self, now: SimTime, sched: &mut Sched) {
-        // Sorted, not map order: with several dirty buffers the flush order
-        // decides segment submission order, and map order varies per
-        // process (seeded `RandomState`), which would break bit-for-bit
-        // reproducibility.
+    /// Flush the non-empty dirty buffers that `keep` selects, in sorted
+    /// order: with several dirty buffers the flush order decides segment
+    /// submission order, and map order would break bit-for-bit
+    /// reproducibility.
+    fn flush_where(
+        &mut self,
+        fs: &mut Substrate,
+        now: SimTime,
+        keep: impl Fn(&(NodeId, u32)) -> bool,
+        sched: &mut Sched,
+    ) {
         let mut keys: Vec<(NodeId, u32)> = self
             .dirty
             .iter()
-            .filter(|(_, b)| !b.is_empty())
+            .filter(|(k, b)| keep(k) && !b.is_empty())
             .map(|(k, _)| *k)
             .collect();
         keys.sort_unstable();
         for (node, file) in keys {
-            self.flush_dirty(now, node, file, sched);
+            self.flush_dirty(fs, now, node, file, sched);
         }
     }
 
-    fn arm_flush_timer(&mut self, now: SimTime, sched: &mut Sched) {
+    fn arm_flush_timer(&mut self, fs: &Substrate, now: SimTime, sched: &mut Sched) {
         if !self.flush_timer_armed && self.policy.write_behind {
             self.flush_timer_armed = true;
             let at = now + SimDuration::from_secs_f64(self.policy.flush_interval_secs);
-            sched.timer(at, self.timer_flush_id());
+            sched.timer(at, fs.pump.len() as u64);
         }
     }
 
@@ -779,6 +445,7 @@ impl Ppfs {
     #[allow(clippy::too_many_arguments)]
     fn read_op(
         &mut self,
+        fs: &mut Substrate,
         now: SimTime,
         token: IoToken,
         node: NodeId,
@@ -788,13 +455,13 @@ impl Ppfs {
         is_async: bool,
         sched: &mut Sched,
     ) {
-        let eff = bytes.min(self.files.len_of(file).saturating_sub(offset));
+        let eff = bytes.min(fs.files.len_of(file).saturating_sub(offset));
         let hit_cost = SimDuration::from_secs_f64(self.policy.hit_cost_secs);
-        let rate = self.cfg.io_sw.client_byte_rate;
+        let rate = fs.cfg.io_sw.client_byte_rate;
         if eff == 0 {
             let done = now + hit_cost;
             if !is_async {
-                self.record(
+                fs.recorder.record(
                     IoEvent::new(node, file, IoOp::Read)
                         .span(now.nanos(), done.nanos())
                         .extent(offset, 0),
@@ -829,9 +496,9 @@ impl Ppfs {
         let blocks_left = (missing.len() + waiting.len()) as u32;
         if blocks_left == 0 {
             self.stats.reads_hit += 1;
-            let done = self.client.copy_done(node, now + hit_cost, eff, rate);
+            let done = fs.client.copy_done(node, now + hit_cost, eff, rate);
             if !is_async {
-                self.record(
+                fs.recorder.record(
                     IoEvent::new(node, file, IoOp::Read)
                         .span(now.nanos(), done.nanos())
                         .extent(offset, eff),
@@ -856,16 +523,8 @@ impl Ppfs {
                     .push(read_id);
             }
             // Fetch contiguous runs of missing blocks together.
-            let mut run: Vec<u64> = Vec::new();
-            for &b in &missing {
-                if run.last().is_some_and(|&p| p + 1 != b) {
-                    let r = std::mem::take(&mut run);
-                    self.fetch_blocks(now, node, file, r, false, sched);
-                }
-                run.push(b);
-            }
-            if !run.is_empty() {
-                self.fetch_blocks(now, node, file, run, false, sched);
+            for run in runs(missing) {
+                self.fetch_blocks(fs, now, node, file, run, false, sched);
             }
             self.reads.insert(
                 read_id,
@@ -891,25 +550,27 @@ impl Ppfs {
                 .or_insert_with(|| StreamPrefetcher::new(policy, bs));
             pf.on_access(offset, eff)
         };
-        let file_len = self.files.len_of(file);
+        let file_len = fs.files.len_of(file);
         for ext in suggestions {
             if ext.offset >= file_len {
                 continue;
             }
             let pf_first = ext.offset / bs;
             let pf_last = (ext.offset + ext.bytes - 1).min(file_len - 1) / bs;
+            // Peek block by block: fetching one run can evict a block a
+            // later peek would otherwise have seen.
             let mut run: Vec<u64> = Vec::new();
             for b in pf_first..=pf_last {
                 if self.cache_for(node).peek((file, b)).is_none() {
                     if run.last().is_some_and(|&p| p + 1 != b) {
                         let r = std::mem::take(&mut run);
-                        self.fetch_blocks(now, node, file, r, true, sched);
+                        self.fetch_blocks(fs, now, node, file, r, true, sched);
                     }
                     run.push(b);
                 }
             }
             if !run.is_empty() {
-                self.fetch_blocks(now, node, file, run, true, sched);
+                self.fetch_blocks(fs, now, node, file, run, true, sched);
             }
         }
     }
@@ -918,6 +579,7 @@ impl Ppfs {
     #[allow(clippy::too_many_arguments)]
     fn write_op(
         &mut self,
+        fs: &mut Substrate,
         now: SimTime,
         token: IoToken,
         node: NodeId,
@@ -926,13 +588,13 @@ impl Ppfs {
         bytes: u64,
         sched: &mut Sched,
     ) {
-        self.files.state(file).extend_to(offset + bytes);
-        let rate = self.cfg.io_sw.client_byte_rate;
+        fs.files.state(file).extend_to(offset + bytes);
+        let rate = fs.cfg.io_sw.client_byte_rate;
         if self.policy_for(file).write_behind {
             // Complete into the dirty buffer at copy cost.
             let ready = now + SimDuration::from_secs_f64(self.policy.hit_cost_secs);
-            let done = self.client.copy_done(node, ready, bytes, rate);
-            self.record(
+            let done = fs.client.copy_done(node, ready, bytes, rate);
+            fs.recorder.record(
                 IoEvent::new(node, file, IoOp::Write)
                     .span(now.nanos(), done.nanos())
                     .extent(offset, bytes),
@@ -947,21 +609,16 @@ impl Ppfs {
                     fault: None,
                 },
             );
-            self.dirty
-                .entry((node, file))
-                .or_default()
-                .add(offset, bytes);
+            let buf = self.dirty.entry((node, file)).or_default();
+            buf.add(offset, bytes);
+            let full = buf.bytes() >= self.policy.high_water_bytes;
             self.stats.writes_buffered += 1;
-            if self.dirty[&(node, file)].bytes() >= self.policy.high_water_bytes {
-                self.flush_dirty(now, node, file, sched);
+            if full {
+                self.flush_dirty(fs, now, node, file, sched);
             }
-            self.arm_flush_timer(now, sched);
+            self.arm_flush_timer(fs, now, sched);
         } else {
-            let tid = self.next_transfer;
-            self.next_transfer += 1;
-            let segs = self.submit_extent(now, tid, file, offset, bytes, true, sched);
-            self.transfers.insert(
-                tid,
+            self.submit_transfer(fs, now, file, offset, bytes, true, sched, |segs| {
                 Transfer::AppWrite {
                     token,
                     node,
@@ -970,8 +627,8 @@ impl Ppfs {
                     bytes,
                     issued: now,
                     segs_left: segs,
-                },
-            );
+                }
+            });
         }
         // Writes invalidate any cached copy of the blocks they touch.
         let bs = self.policy.block_size;
@@ -982,33 +639,98 @@ impl Ppfs {
                 // The write passes through the owning server: write-allocate
                 // there too (two-level buffering).
                 if !self.server_caches.is_empty() {
-                    let owner = self.block_owner(b);
+                    let owner = self.block_owner(fs, b);
                     self.server_caches[owner].insert((file, b), BlockState::Present);
                 }
             }
         }
     }
+}
 
-    fn transfer_done(&mut self, now: SimTime, tid: u64, sched: &mut Sched) {
-        let finished = {
-            let t = self.transfers.get_mut(&tid).expect("unknown transfer");
-            let left = match t {
-                Transfer::Fetch { segs_left, .. }
-                | Transfer::AppWrite { segs_left, .. }
-                | Transfer::Flush { segs_left, .. }
-                | Transfer::Drain { segs_left, .. } => segs_left,
-            };
-            *left -= 1;
-            *left == 0
+/// Split ascending block numbers into maximal runs of consecutive blocks.
+fn runs(blocks: Vec<u64>) -> Vec<Vec<u64>> {
+    let mut out: Vec<Vec<u64>> = Vec::new();
+    for b in blocks {
+        match out.last_mut() {
+            Some(run) if run.last().is_some_and(|&p| p + 1 == b) => run.push(b),
+            _ => out.push(vec![b]),
+        }
+    }
+    out
+}
+
+impl Policy for Ppfs {
+    /// The write-behind flush timer, id `pump.len()`.
+    const RESERVED_TIMERS: u64 = 1;
+
+    /// Stripe-pinned: a down node parks segments for replay, a full queue
+    /// retries forever with capped backoff.
+    fn failover(_params: &FaultParams) -> FailoverPolicy {
+        FailoverPolicy::StripePinned
+    }
+
+    /// Client-managed pointers resolve the offset; reads go through the
+    /// block cache, writes through write-behind or write-through.
+    fn data_op(
+        &mut self,
+        fs: &mut Substrate,
+        now: SimTime,
+        token: IoToken,
+        node: NodeId,
+        req: IoRequest,
+        write: bool,
+        is_async: bool,
+        sched: &mut Sched,
+    ) {
+        let file = req.file;
+        let pos = fs.files.state(file).pos.entry(node).or_insert(0);
+        let offset = req.offset.unwrap_or(*pos);
+        *pos = offset + req.bytes;
+        if is_async {
+            let issue_end = now + fs.cfg.io_sw.async_issue;
+            fs.recorder.record(
+                IoEvent::new(node, file, IoOp::AsyncRead)
+                    .span(now.nanos(), issue_end.nanos())
+                    .extent(offset, req.bytes),
+            );
+        }
+        if write {
+            self.write_op(fs, now, token, node, file, offset, req.bytes, sched);
+        } else {
+            self.read_op(
+                fs, now, token, node, file, offset, req.bytes, is_async, sched,
+            );
+        }
+    }
+
+    fn seg_done(
+        &mut self,
+        fs: &mut Substrate,
+        tid: u64,
+        data_lost: bool,
+        now: SimTime,
+        sched: &mut Sched,
+    ) {
+        if data_lost {
+            self.stats.data_loss_segments += 1;
+        }
+        let t = self.transfers.get_mut(&tid).expect("unknown transfer");
+        let left = match t {
+            Transfer::Fetch { segs_left, .. }
+            | Transfer::AppWrite { segs_left, .. }
+            | Transfer::Flush { segs_left, .. }
+            | Transfer::Drain { segs_left, .. } => segs_left,
         };
-        if !finished {
+        *left -= 1;
+        if *left > 0 {
             return;
         }
+        let rate = fs.cfg.io_sw.client_byte_rate;
         match self.transfers.remove(&tid).unwrap() {
             Transfer::Fetch {
                 node, file, blocks, ..
             } => {
-                self.complete_blocks(now, node, file, blocks, true, sched);
+                self.complete_blocks(fs, now, node, file, blocks, true, sched);
             }
             Transfer::AppWrite {
                 token,
@@ -1019,9 +741,8 @@ impl Ppfs {
                 issued,
                 ..
             } => {
-                let rate = self.cfg.io_sw.client_byte_rate;
-                let done = self.client.copy_done(node, now, bytes, rate);
-                self.record(
+                let done = fs.client.copy_done(node, now, bytes, rate);
+                fs.recorder.record(
                     IoEvent::new(node, file, IoOp::Write)
                         .span(issued.nanos(), done.nanos())
                         .extent(offset, bytes),
@@ -1036,10 +757,10 @@ impl Ppfs {
                         fault: None,
                     },
                 );
-                self.drain_sync_waiters(file, now, sched);
+                fs.drain_sync_waiters(self, file, now, sched);
             }
             Transfer::Flush { file, .. } => {
-                self.drain_sync_waiters(file, now, sched);
+                fs.drain_sync_waiters(self, file, now, sched);
             }
             Transfer::Drain {
                 token,
@@ -1049,8 +770,7 @@ impl Ppfs {
                 issued,
                 ..
             } => {
-                let rate = self.cfg.io_sw.client_byte_rate;
-                let done = self.client.copy_done(node, now, bytes, rate);
+                let done = fs.client.copy_done(node, now, bytes, rate);
                 sched.complete_io(
                     token,
                     done,
@@ -1061,15 +781,18 @@ impl Ppfs {
                         fault: None,
                     },
                 );
-                self.drain_sync_waiters(file, now, sched);
+                fs.drain_sync_waiters(self, file, now, sched);
             }
         }
     }
 
-    /// Whether `file` still has write-back traffic in flight: flush
-    /// transfers (including segments parked at a crashed node awaiting
-    /// replay — parked dirty data is *not* durable) or write-through
-    /// application writes.
+    fn seg_refused(&mut self, _fs: &mut Substrate, tid: u64, _now: SimTime, _sched: &mut Sched) {
+        unreachable!("the stripe-pinned pump never gives transfer {tid} up");
+    }
+
+    /// Write-back traffic in flight: flush transfers (including segments
+    /// parked at a crashed node awaiting replay — parked dirty data is
+    /// *not* durable), write-through application writes, and drains.
     fn has_outstanding_writes(&self, file: u32) -> bool {
         self.transfers.values().any(|t| {
             matches!(t,
@@ -1080,239 +803,138 @@ impl Ppfs {
         })
     }
 
-    /// Acknowledge a commit: the software flush cost, plus a typed
-    /// `DataLoss` fault if any array holding the file's stripes has
-    /// exhausted its redundancy.
-    fn complete_sync(
+    /// The write-behind flush timer and server-cache hit deliveries.
+    fn on_timer(
         &mut self,
-        token: IoToken,
-        node: NodeId,
-        file: u32,
+        fs: &mut Substrate,
         now: SimTime,
-        issued: SimTime,
+        timer: u64,
         sched: &mut Sched,
-    ) {
-        let fault = if self.pump.any_data_lost() {
-            Some(IoFault::DataLoss)
-        } else {
-            None
-        };
-        self.recorder.complete_commit(
-            sched,
-            token,
-            node,
-            file,
-            issued,
-            now,
-            self.cfg.io_sw.flush,
-            fault,
-        );
-    }
-
-    /// Release every `Sync` waiter on `file` once its last write-back
-    /// transfer has landed on the arrays.
-    fn drain_sync_waiters(&mut self, file: u32, now: SimTime, sched: &mut Sched) {
-        if self.syncs.is_empty() || self.has_outstanding_writes(file) {
-            return;
-        }
-        for w in self.syncs.take_for(file) {
-            self.complete_sync(w.token, w.node, w.file, now, w.issued, sched);
-        }
-    }
-}
-
-impl IoService for Ppfs {
-    fn submit(
-        &mut self,
-        node: NodeId,
-        now: SimTime,
-        req: IoRequest,
-        token: IoToken,
-        is_async: bool,
-        sched: &mut Sched,
-    ) {
-        match req.verb {
-            IoVerb::Open => {
-                let mode = AccessMode::from_code(req.hint).unwrap_or(AccessMode::MUnix);
-                let create = self.files.state(req.file).open(node, mode);
-                let cost = if create {
-                    self.cfg.io_sw.create
-                } else {
-                    self.cfg.io_sw.open
-                };
-                self.meta_op(now, token, node, req.file, IoOp::Open, cost, 0, sched);
-            }
-            IoVerb::Close => {
-                self.flush_dirty(now, node, req.file, sched);
-                self.files.state(req.file).close(node);
-                let cost = self.cfg.io_sw.close;
-                self.meta_op(now, token, node, req.file, IoOp::Close, cost, 0, sched);
-            }
-            IoVerb::Seek => {
-                // Client-managed pointers: always local, always cheap.
-                let target = req.offset.expect("seek needs an offset");
-                let pos = self.files.state(req.file).pos.entry(node).or_insert(0);
-                let distance = pos.abs_diff(target);
-                *pos = target;
-                let done = now + SimDuration::from_micros(200);
-                self.recorder.complete_op(
-                    sched,
-                    token,
-                    node,
-                    req.file,
-                    IoOp::Seek,
-                    now,
-                    done,
-                    Some((target, distance)),
-                    0,
-                );
-            }
-            IoVerb::Flush => {
-                self.flush_dirty(now, node, req.file, sched);
-                let done = now + self.cfg.io_sw.flush;
-                self.recorder.complete_op(
-                    sched,
-                    token,
-                    node,
-                    req.file,
-                    IoOp::Flush,
-                    now,
-                    done,
-                    None,
-                    0,
-                );
-            }
-            IoVerb::Sync => {
-                // Commit: push every node's dirty write-behind data for
-                // this file to the I/O nodes, then acknowledge only once
-                // all of the file's write-back traffic (flushes and
-                // write-through writes, including crash-parked segments
-                // awaiting replay) has landed on the arrays. This is the
-                // durability gap `Flush` leaves open — a flush returns at
-                // software cost while its extents are still in flight.
-                // Traced as Forflush (the paper has no separate commit row).
-                let mut keys: Vec<(NodeId, u32)> = self
-                    .dirty
-                    .iter()
-                    .filter(|((_, f), b)| *f == req.file && !b.is_empty())
-                    .map(|(k, _)| *k)
-                    .collect();
-                keys.sort_unstable();
-                for (n, f) in keys {
-                    self.flush_dirty(now, n, f, sched);
-                }
-                if self.has_outstanding_writes(req.file) {
-                    self.syncs.park(SyncWaiter {
-                        token,
-                        node,
-                        file: req.file,
-                        issued: now,
-                    });
-                } else {
-                    self.complete_sync(token, node, req.file, now, now, sched);
-                }
-            }
-            IoVerb::Lsize => {
-                let cost = self.cfg.io_sw.lsize;
-                let len = self.file_len(req.file);
-                self.meta_op(now, token, node, req.file, IoOp::Lsize, cost, len, sched);
-            }
-            IoVerb::Read | IoVerb::Write => {
-                let pos = self.files.state(req.file).pos.entry(node).or_insert(0);
-                let offset = req.offset.unwrap_or(*pos);
-                *pos = offset + req.bytes;
-                if is_async {
-                    let issue_end = now + self.cfg.io_sw.async_issue;
-                    self.record(
-                        IoEvent::new(node, req.file, IoOp::AsyncRead)
-                            .span(now.nanos(), issue_end.nanos())
-                            .extent(offset, req.bytes),
-                    );
-                }
-                if req.verb == IoVerb::Read {
-                    self.read_op(
-                        now, token, node, req.file, offset, req.bytes, is_async, sched,
-                    );
-                } else {
-                    self.write_op(now, token, node, req.file, offset, req.bytes, sched);
-                }
-            }
-        }
-    }
-
-    fn on_start(&mut self, sched: &mut Sched) {
-        // Arm one absolute-time timer per scheduled fault event. Empty
-        // schedule (the healthy case): no timers, bit-identical runs.
-        self.faults.arm_all(&mut self.next_timer, sched);
-    }
-
-    fn on_timer(&mut self, now: SimTime, timer: u64, sched: &mut Sched) {
-        if (timer as usize) < self.pump.len() {
-            // An I/O node finished its in-service work. Stale timers happen
-            // only under faults (a stall postponed the completion, or a
-            // crash voided it): the re-armed timer covers the real time.
-            match self.pump.node_tick(now, timer, sched) {
-                NodeTick::Stale => {
-                    debug_assert!(
-                        self.faults.enabled(),
-                        "stale i/o-node timer on a healthy run"
-                    );
-                }
-                // Background rebuild traffic: no transfer to advance.
-                NodeTick::Rebuild => {}
-                NodeTick::Orphan => panic!("segment with no owner"),
-                NodeTick::Seg {
-                    owner: tid,
-                    data_lost,
-                } => {
-                    if data_lost {
-                        self.stats.data_loss_segments += 1;
-                    }
-                    self.transfer_done(now, tid, sched);
-                }
-            }
-        } else if timer == self.timer_flush_id() {
+    ) -> bool {
+        if timer == fs.pump.len() as u64 {
             self.flush_timer_armed = false;
-            self.flush_all(now, sched);
+            self.flush_where(fs, now, |_| true, sched);
             // Re-arm while dirty data may still arrive (cheap: only when
             // something was flushed or remains buffered).
             if self.dirty.values().any(|b| !b.is_empty()) {
-                self.arm_flush_timer(now, sched);
-            }
-        } else if let Some(ev) = self.faults.take(timer) {
-            self.apply_fault(now, ev, sched);
-        } else if let Some(r) = self.pump.take_retry(timer) {
-            // Retry only while the owning transfer is still alive.
-            if self.pump.owns(r.req.id) {
-                let gave_up =
-                    self.pump
-                        .submit_seg(now, r.io, r.req, r.attempt, &mut self.next_timer, sched);
-                debug_assert!(gave_up.is_none(), "stripe-pinned retry cannot give up");
+                self.arm_flush_timer(fs, now, sched);
             }
         } else if let Some((node, file, blocks)) = self.fetch_hits.remove(&timer) {
             // Server-cache hit delivery: no server install (they came from
             // there).
-            self.complete_blocks(now, node, file, blocks, false, sched);
-        } else if let Some(parked) = self.parked_meta.remove(&timer) {
-            self.retry_meta(now, parked, sched);
+            self.complete_blocks(fs, now, node, file, blocks, false, sched);
         } else {
-            panic!("unknown timer {timer}");
+            return false;
+        }
+        true
+    }
+
+    /// A background write through the stripe-pinned pump (capped backoff,
+    /// park/replay on crash). No application event is traced.
+    fn submit_drain(
+        &mut self,
+        fs: &mut Substrate,
+        node: NodeId,
+        now: SimTime,
+        file: u32,
+        offset: u64,
+        bytes: u64,
+        token: IoToken,
+        sched: &mut Sched,
+    ) {
+        fs.files.state(file).extend_to(offset + bytes);
+        let tid = self.next_transfer;
+        self.next_transfer += 1;
+        let segs = fs.submit_extent(now, file, offset, bytes, true, tid, sched);
+        if segs == 0 {
+            // Degenerate extent: nothing staged, complete immediately.
+            sched.complete_io(
+                token,
+                now,
+                IoResult {
+                    bytes,
+                    queued: SimDuration::ZERO,
+                    service: SimDuration::ZERO,
+                    fault: None,
+                },
+            );
+            return;
+        }
+        self.transfers.insert(
+            tid,
+            Transfer::Drain {
+                token,
+                node,
+                file,
+                bytes,
+                issued: now,
+                segs_left: segs,
+            },
+        );
+    }
+
+    /// In-service and queued segments are lost. Flush segments carry
+    /// write-behind data whose application writes already completed — that
+    /// is the dirty-data exposure the X4 suite measures. Everything is
+    /// parked for replay on recovery.
+    fn on_node_crash(&mut self, fs: &mut Substrate, _now: SimTime, io: u32, _sched: &mut Sched) {
+        for req in fs.pump.crash(io) {
+            let Some(tid) = fs.pump.owner_of(req.id) else {
+                continue;
+            };
+            if let Some(Transfer::Flush { file, .. }) = self.transfers.get(&tid) {
+                self.stats.dirty_bytes_lost += req.bytes;
+                if self.checkpoint_covered.contains(file) {
+                    self.stats.dirty_bytes_lost_checkpointed += req.bytes;
+                }
+            }
+            fs.pump.park_replay(io, req);
         }
     }
 
-    fn issue_cost(&self, _node: NodeId, _req: &IoRequest) -> SimDuration {
-        self.cfg.io_sw.async_issue
+    /// Client-managed pointers: always local, always cheap.
+    fn seek_done(&mut self, _fs: &mut Substrate, now: SimTime, _file: u32) -> SimTime {
+        now + SimDuration::from_micros(200)
     }
 
-    fn on_iowait(&mut self, node: NodeId, file: u32, wait_start: SimTime, wait_end: SimTime) {
-        self.recorder.iowait(node, file, wait_start, wait_end);
+    /// Closing pushes the node's dirty data for the file.
+    fn on_close(
+        &mut self,
+        fs: &mut Substrate,
+        now: SimTime,
+        node: NodeId,
+        file: u32,
+        sched: &mut Sched,
+    ) {
+        self.flush_dirty(fs, now, node, file, sched);
     }
 
-    fn on_run_end(&mut self, _now: SimTime) {
-        // Account (but no longer time) any data still buffered: it would
-        // reach disk during program teardown. Today this only accumulates
-        // sums (order-independent), but drain in sorted order anyway so a
-        // future per-extent effect cannot inherit map iteration order.
+    /// `Flush` starts the node's write-back but returns at software cost
+    /// while its extents are still in flight.
+    fn on_flush(
+        &mut self,
+        fs: &mut Substrate,
+        now: SimTime,
+        node: NodeId,
+        file: u32,
+        sched: &mut Sched,
+    ) {
+        self.flush_dirty(fs, now, node, file, sched);
+    }
+
+    /// Commit: push every node's dirty write-behind data for the file; the
+    /// shell then acknowledges once all of it (and any write-through
+    /// traffic, including crash-parked segments awaiting replay) has
+    /// landed. This is the durability gap `Flush` leaves open.
+    fn on_sync(&mut self, fs: &mut Substrate, now: SimTime, file: u32, sched: &mut Sched) {
+        self.flush_where(fs, now, |&(_, f)| f == file, sched);
+    }
+
+    /// Account (but no longer time) any data still buffered: it would
+    /// reach disk during program teardown. Today this only accumulates
+    /// sums (order-independent), but drain in sorted order anyway so a
+    /// future per-extent effect cannot inherit map iteration order.
+    fn on_run_end(&mut self, _fs: &mut Substrate, _now: SimTime) {
         let mut remaining: Vec<(NodeId, u32)> = self.dirty.keys().copied().collect();
         remaining.sort_unstable();
         for key in remaining {
@@ -1333,6 +955,18 @@ impl IoService for Ppfs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use paragon_sim::FaultSchedule;
+    use sio_core::trace::TraceSink;
+    use sio_fskit::{AccessMode, FileSpec, FsShell};
+
+    fn ppfs(m: &MachineConfig, policy: PolicyConfig, name: &str) -> FsShell<Ppfs> {
+        FsShell::new(
+            m,
+            TraceSink::new(name),
+            FaultSchedule::new(),
+            Ppfs::new(m, policy),
+        )
+    }
     use crate::policy::Eviction;
     use paragon_sim::mesh::Mesh;
     use paragon_sim::program::{NodeProgram, ScriptOp, ScriptProgram};
@@ -1354,7 +988,7 @@ mod tests {
         files: Vec<FileSpec>,
         scripts: Vec<Vec<ScriptOp>>,
     ) -> (Trace, PpfsStats) {
-        let mut fs = Ppfs::new(m, policy, TraceSink::new("ppfs-test"));
+        let mut fs = ppfs(m, policy, "ppfs-test");
         for f in files {
             fs.register(f);
         }
@@ -1372,7 +1006,7 @@ mod tests {
         let report = engine.run();
         assert!(report.clean(), "blocked: {:?}", report.blocked);
         let mut fs = engine.into_service();
-        let stats = fs.stats();
+        let stats = fs.policy().stats(fs.substrate());
         fs.sink_mut()
             .set_run_info(m.compute_nodes, report.wall.nanos());
         (fs.finish_trace(), stats)
@@ -1613,7 +1247,7 @@ mod tests {
     #[test]
     fn inferred_pattern_exposed() {
         let m = machine();
-        let mut fs = Ppfs::new(&m, PolicyConfig::adaptive(2), TraceSink::new("p"));
+        let mut fs = ppfs(&m, PolicyConfig::adaptive(2), "p");
         fs.register(FileSpec::input("in", 4 << 20));
         let mut ops = vec![open(0)];
         for _ in 0..8 {
@@ -1625,10 +1259,10 @@ mod tests {
         engine.run();
         use sio_core::classify::AccessPattern;
         assert_eq!(
-            engine.service().inferred_pattern(0, 0),
+            engine.service().policy().inferred_pattern(0, 0),
             Some(AccessPattern::Sequential)
         );
-        assert_eq!(engine.service().inferred_pattern(3, 0), None);
+        assert_eq!(engine.service().policy().inferred_pattern(3, 0), None);
     }
 
     #[test]
@@ -1701,10 +1335,11 @@ mod tests {
         // Global policy: write-through. File 0 advised as staging
         // (write-behind + aggregation); file 1 inherits write-through.
         let m = machine();
-        let mut fs = Ppfs::new(&m, PolicyConfig::write_through(), TraceSink::new("advice"));
+        let mut fs = ppfs(&m, PolicyConfig::write_through(), "advice");
         fs.register(FileSpec::output("staging"));
         fs.register(FileSpec::output("plain"));
-        fs.advise(0, crate::advice::FileAdvice::staging());
+        fs.policy_mut()
+            .advise(0, crate::advice::FileAdvice::staging());
         let mut ops = vec![open(0), open(1)];
         for i in 0..8u64 {
             ops.push(ScriptOp::Io(IoRequest::seek(0, i * 2048)));
@@ -1717,7 +1352,10 @@ mod tests {
         engine.set_default_watchdog();
         let report = engine.run();
         assert!(report.clean());
-        let stats = engine.service().stats();
+        let stats = engine
+            .service()
+            .policy()
+            .stats(engine.service().substrate());
         // Only the advised file's writes were buffered.
         assert_eq!(stats.writes_buffered, 8);
         let trace = engine.into_service().finish_trace();
@@ -1742,13 +1380,14 @@ mod tests {
         let mut policy = PolicyConfig::escat_tuned();
         policy.high_water_bytes = u64::MAX;
         policy.flush_interval_secs = 1e9; // never fires
-        let mut fs = Ppfs::new(&m, policy, TraceSink::new("e"));
+        let mut fs = ppfs(&m, policy, "e");
         fs.register(FileSpec::output("f"));
         let ops = vec![open(0), ScriptOp::Io(IoRequest::write(0, 2048))];
         let programs: Vec<Box<dyn NodeProgram>> = vec![Box::new(ScriptProgram::new(ops))];
         let mut engine = Engine::new(Mesh::for_nodes(4, 2), m.comm, programs, fs);
         engine.set_default_watchdog();
         engine.run();
-        assert_eq!(engine.service().stats().flushed_bytes, 2048);
+        let fs = engine.service();
+        assert_eq!(fs.policy().stats(fs.substrate()).flushed_bytes, 2048);
     }
 }

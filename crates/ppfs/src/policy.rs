@@ -7,10 +7,8 @@
 //! presets are the configurations used by the paper's experiments and our
 //! ablations (DESIGN.md X1, A2).
 
-use serde::{Deserialize, Serialize};
-
 /// Block-cache eviction policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Eviction {
     /// Least-recently-used (default; good for sequential with reuse).
     Lru,
@@ -22,7 +20,7 @@ pub enum Eviction {
 }
 
 /// Read prefetching policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PrefetchPolicy {
     /// No prefetching.
     None,
@@ -42,7 +40,7 @@ pub enum PrefetchPolicy {
 }
 
 /// Full policy configuration for a PPFS instance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PolicyConfig {
     /// Cache block size, bytes (PFS stripe unit by default).
     pub block_size: u64,

@@ -205,6 +205,17 @@ fn meta_outage_fails_typed_and_terminates_on_every_backend() {
             "{name}: outage produced no typed Unavailable completion"
         );
         assert!(meta.retries > 0, "{name}: no parked-retry probes");
+        // The workload moves no data, so every unavailable request is a
+        // metadata RPC: the fault counters must agree with the metadata
+        // server. PPFS keeps no PFS-shape fault counters.
+        if name.contains("ppfs") {
+            assert!(out.pfs_faults.is_none(), "{name}: unexpected fault stats");
+        } else {
+            let faults = out
+                .pfs_faults
+                .unwrap_or_else(|| panic!("{name}: no fault stats"));
+            assert_eq!(faults.unavailable, meta.unavailable, "{name}");
+        }
         // Every metadata verb the program issued is in the trace, failed
         // or not — one Open, two Lsize, one Close.
         assert_eq!(out.trace.of_op(IoOp::Open).count(), 1, "{name}");
