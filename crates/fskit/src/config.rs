@@ -10,7 +10,7 @@ use paragon_sim::MachineConfig;
 pub const DEFAULT_FILE_SLOT: u64 = 32 << 20;
 
 /// Substrate configuration, derived from a [`MachineConfig`]. Historically
-/// named `PfsConfig`; both backends share it.
+/// named `PfsConfig`; every backend shares it.
 #[derive(Debug, Clone)]
 pub struct FsConfig {
     /// Stripe map.

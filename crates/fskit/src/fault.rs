@@ -47,7 +47,7 @@ impl FaultRouter {
         !self.schedule.is_empty()
     }
 
-    /// Arm one timer per scheduled event, allocating ids from the backend's
+    /// Arm one timer per scheduled event, allocating ids from the shell's
     /// counter in schedule order.
     pub fn arm_all(&mut self, ids: &mut u64, sched: &mut Sched) {
         for ev in self.schedule.clone().events() {
