@@ -1,9 +1,7 @@
 //! `repro` — regenerate every table and figure of the paper.
 //!
-//! ```text
-//! repro [--fast] [--perf] [--jobs N] [--out DIR] [--crash-frac F] [--log-mb MB] [--drain-mbps R]
-//!       [escat|render|htf|ppfs-ablation|crossover|ablations|scaling|faults|recover|cio|blog|all]...
-//! ```
+//! `repro --help` prints the options and the experiment list ([`usage`],
+//! read from [`SUITES`]).
 //!
 //! Paper-scale runs (`escat`, `render`, `htf`) use the 128-node Caltech
 //! Paragon partition and the `paper()` parameters; `--fast` substitutes the
@@ -26,35 +24,35 @@ use paragon_sim::MachineConfig;
 use sio_analysis::burst;
 use sio_analysis::chaos;
 use sio_analysis::characterize::Characterization;
+use sio_analysis::compare::{Check, ShapeCheck};
 use sio_analysis::experiments;
-use sio_analysis::figures;
+use sio_analysis::figures::{self, FigureSet};
 use sio_analysis::recovery;
 use sio_analysis::report;
+use sio_analysis::report::Row;
 use sio_analysis::runner;
 use sio_apps::{EscatParams, HtfParams, RenderParams};
+use sio_core::Trace;
 use std::fmt;
-use std::path::PathBuf;
+use std::io;
+use std::path::{Path, PathBuf};
 
-/// Every experiment name `repro` accepts.
-const EXPERIMENTS: [&str; 13] = [
-    "escat",
-    "render",
-    "htf",
-    "ppfs-ablation",
-    "crossover",
-    "ablations",
-    "scaling",
-    "faults",
-    "recover",
-    "cio",
-    "blog",
-    "chaos",
-    "all",
-];
+/// The experiment names the command line accepts: every suite, then `all`.
+fn experiment_names() -> Vec<&'static str> {
+    SUITES
+        .iter()
+        .map(|&(name, _)| name)
+        .chain(["all"])
+        .collect()
+}
 
-const USAGE: &str = "usage: repro [--fast] [--perf] [--jobs N] [--out DIR] [--crash-frac F] \
-     [--log-mb MB] [--drain-mbps R] [--chaos-seed N] [--cells N] \
-     [escat|render|htf|ppfs-ablation|crossover|ablations|scaling|faults|recover|cio|blog|chaos|all]...";
+fn usage() -> String {
+    format!(
+        "usage: repro [--fast] [--perf] [--jobs N] [--out DIR] [--crash-frac F] \
+         [--log-mb MB] [--drain-mbps R] [--chaos-seed N] [--cells N] [{}]...",
+        experiment_names().join("|")
+    )
+}
 
 /// Why an argument list was rejected. A typed error rather than a bare
 /// message: tests assert on the failure class and the offending option,
@@ -93,7 +91,7 @@ impl fmt::Display for CliError {
                 f,
                 "unknown experiment '{}' (expected one of: {})",
                 e,
-                EXPERIMENTS.join(", ")
+                experiment_names().join(", ")
             ),
         }
     }
@@ -107,9 +105,10 @@ struct Cli {
     help: bool,
     out: PathBuf,
     jobs: Option<usize>,
-    /// Custom crash fraction for the `recover` and `blog` suites (replaces
-    /// the canned scenarios with a single `crash@F` cell; `1` crashes at
-    /// the healthy wall, i.e. at the last possible instant).
+    /// Custom crash fraction for the `recover` and `blog` suites (`recover`
+    /// replaces its canned scenarios with a single `crash@F` cell; `blog`
+    /// pins its crash axis, running the 9 workload × inner cells at `F`;
+    /// `1` crashes at the healthy wall, i.e. at the last possible instant).
     crash_frac: Option<f64>,
     /// Per-node burst-log capacity override for the `blog` suite, MB.
     log_mb: Option<u64>,
@@ -142,111 +141,49 @@ fn parse_args_from(argv: impl IntoIterator<Item = String>) -> Result<Cli, CliErr
         what: Vec::new(),
     };
     let mut args = argv.into_iter();
-    let value = |args: &mut dyn Iterator<Item = String>,
-                 option: &'static str,
-                 expected: &'static str|
-     -> Result<String, CliError> {
-        args.next()
-            .ok_or(CliError::MissingValue { option, expected })
-    };
     while let Some(a) = args.next() {
+        let args = &mut args;
         match a.as_str() {
             "--fast" => cli.fast = true,
             "--perf" => cli.perf = true,
             "-h" | "--help" => cli.help = true,
             "--jobs" => {
-                let expected = "a positive integer";
-                let v = value(&mut args, "--jobs", expected)?;
-                match v.parse::<usize>() {
-                    Ok(n) if n > 0 => cli.jobs = Some(n),
-                    _ => {
-                        return Err(CliError::InvalidValue {
-                            option: "--jobs",
-                            expected,
-                            got: v,
-                        })
-                    }
-                }
+                let ok = |n: &usize| *n > 0;
+                cli.jobs = Some(option_value(args, "--jobs", "a positive integer", ok)?);
             }
             "--out" => {
-                let dir = value(&mut args, "--out", "a directory argument")?;
-                cli.out = PathBuf::from(dir);
+                let any = |_: &PathBuf| true;
+                cli.out = option_value(args, "--out", "a directory argument", any)?;
             }
             "--crash-frac" => {
+                let ok = |f: &f64| *f > 0.0 && *f <= 1.0;
                 let expected = "a fraction in (0, 1]";
-                let v = value(&mut args, "--crash-frac", expected)?;
-                match v.parse::<f64>() {
-                    Ok(f) if f > 0.0 && f <= 1.0 => cli.crash_frac = Some(f),
-                    _ => {
-                        return Err(CliError::InvalidValue {
-                            option: "--crash-frac",
-                            expected,
-                            got: v,
-                        })
-                    }
-                }
+                cli.crash_frac = Some(option_value(args, "--crash-frac", expected, ok)?);
             }
             "--log-mb" => {
+                let ok = |n: &u64| *n > 0;
                 let expected = "a positive whole number of megabytes";
-                let v = value(&mut args, "--log-mb", expected)?;
-                match v.parse::<u64>() {
-                    Ok(n) if n > 0 => cli.log_mb = Some(n),
-                    _ => {
-                        return Err(CliError::InvalidValue {
-                            option: "--log-mb",
-                            expected,
-                            got: v,
-                        })
-                    }
-                }
+                cli.log_mb = Some(option_value(args, "--log-mb", expected, ok)?);
             }
             "--drain-mbps" => {
+                let ok = |r: &f64| *r > 0.0 && r.is_finite();
                 let expected = "a positive finite MB/s rate";
-                let v = value(&mut args, "--drain-mbps", expected)?;
-                match v.parse::<f64>() {
-                    Ok(r) if r > 0.0 && r.is_finite() => cli.drain_mbps = Some(r),
-                    _ => {
-                        return Err(CliError::InvalidValue {
-                            option: "--drain-mbps",
-                            expected,
-                            got: v,
-                        })
-                    }
-                }
+                cli.drain_mbps = Some(option_value(args, "--drain-mbps", expected, ok)?);
             }
             "--chaos-seed" => {
+                let any = |_: &u64| true;
                 let expected = "a 64-bit unsigned integer";
-                let v = value(&mut args, "--chaos-seed", expected)?;
-                match v.parse::<u64>() {
-                    Ok(n) => cli.chaos_seed = Some(n),
-                    _ => {
-                        return Err(CliError::InvalidValue {
-                            option: "--chaos-seed",
-                            expected,
-                            got: v,
-                        })
-                    }
-                }
+                cli.chaos_seed = Some(option_value(args, "--chaos-seed", expected, any)?);
             }
             "--cells" => {
-                let expected = "a positive cell count";
-                let v = value(&mut args, "--cells", expected)?;
-                match v.parse::<u32>() {
-                    Ok(n) if n > 0 => cli.cells = Some(n),
-                    _ => {
-                        return Err(CliError::InvalidValue {
-                            option: "--cells",
-                            expected,
-                            got: v,
-                        })
-                    }
-                }
+                let ok = |n: &u32| *n > 0;
+                cli.cells = Some(option_value(args, "--cells", "a positive cell count", ok)?);
             }
             other if other.starts_with('-') => {
                 return Err(CliError::UnknownOption(other.to_string()));
             }
             other => {
-                if !EXPERIMENTS.contains(&other) {
+                if !experiment_names().contains(&other) {
                     return Err(CliError::UnknownExperiment(other.to_string()));
                 }
                 cli.what.push(other.to_string());
@@ -259,11 +196,32 @@ fn parse_args_from(argv: impl IntoIterator<Item = String>) -> Result<Cli, CliErr
     Ok(cli)
 }
 
+/// The value after `option`, parsed and accepted only when `ok` holds:
+/// nothing is silently clamped into range.
+fn option_value<T: std::str::FromStr>(
+    args: &mut impl Iterator<Item = String>,
+    option: &'static str,
+    expected: &'static str,
+    ok: impl Fn(&T) -> bool,
+) -> Result<T, CliError> {
+    let got = args
+        .next()
+        .ok_or(CliError::MissingValue { option, expected })?;
+    match got.parse::<T>() {
+        Ok(v) if ok(&v) => Ok(v),
+        _ => Err(CliError::InvalidValue {
+            option,
+            expected,
+            got,
+        }),
+    }
+}
+
 fn parse_args() -> Cli {
     match parse_args_from(std::env::args().skip(1)) {
         Ok(cli) => {
             if cli.help {
-                eprintln!("{USAGE}");
+                eprintln!("{}", usage());
                 std::process::exit(0);
             }
             if let Some(n) = cli.jobs {
@@ -276,146 +234,225 @@ fn parse_args() -> Cli {
         }
         Err(msg) => {
             eprintln!("error: {msg}");
-            eprintln!("{USAGE}");
+            eprintln!("{}", usage());
             std::process::exit(2);
         }
     }
 }
 
-fn machine(fast: bool) -> MachineConfig {
-    if fast {
-        MachineConfig::tiny(8, 4)
-    } else {
-        MachineConfig::paragon_128()
+/// A suite driver: runs one experiment and hands its report to [`emit`].
+type Driver = fn(&Ctx) -> io::Result<()>;
+
+/// Every suite `repro` runs, in the order `all` fans them out. `all` is
+/// the one other name the command line accepts.
+const SUITES: [(&str, Driver); 12] = [
+    ("escat", run_escat),
+    ("render", run_render),
+    ("htf", run_htf),
+    ("ppfs-ablation", run_ppfs_ablation),
+    ("crossover", run_crossover),
+    ("ablations", run_ablations),
+    ("scaling", run_scaling),
+    ("faults", run_faults),
+    ("recover", run_recover),
+    ("cio", run_cio),
+    ("blog", run_blog),
+    ("chaos", run_chaos),
+];
+
+/// What every driver reads, built once from the [`Cli`]: the options, the
+/// machine, and the fast or paper application parameters.
+struct Ctx {
+    cli: Cli,
+    machine: MachineConfig,
+    escat: EscatParams,
+    render: RenderParams,
+    htf: HtfParams,
+}
+
+impl Ctx {
+    fn new(cli: Cli) -> Ctx {
+        let (machine, escat, render, htf) = if cli.fast {
+            (
+                MachineConfig::tiny(8, 4),
+                EscatParams::small(8, 8),
+                RenderParams::small(8, 4),
+                HtfParams::small(8),
+            )
+        } else {
+            (
+                MachineConfig::paragon_128(),
+                EscatParams::paper(),
+                RenderParams::paper(),
+                HtfParams::paper(),
+            )
+        };
+        Ctx {
+            cli,
+            machine,
+            escat,
+            render,
+            htf,
+        }
     }
 }
 
-fn run_escat(cli: &Cli) {
-    let _phase = sio_core::perf::phase("escat");
-    let params = if cli.fast {
-        EscatParams::small(8, 8)
-    } else {
-        EscatParams::paper()
-    };
+/// Run one suite under its `perf` phase.
+fn run(ctx: &Ctx, name: &str, driver: Driver) -> io::Result<()> {
+    let _phase = sio_core::perf::phase(name);
+    driver(ctx)
+}
+
+/// A `.csv` table beside a report.
+struct Csv {
+    name: &'static str,
+    header: &'static str,
+    lines: Vec<String>,
+}
+
+impl Csv {
+    /// The table of a suite's rows, under the row type's header.
+    fn of<R: Row>(name: &'static str, rows: &[R]) -> Csv {
+        Csv {
+            name,
+            header: R::CSV_HEADER,
+            lines: rows.iter().map(Row::csv).collect(),
+        }
+    }
+}
+
+/// Tag a failed write with the path it was writing.
+fn wrote(path: &Path, result: io::Result<()>) -> io::Result<()> {
+    result.map_err(|e| io::Error::new(e.kind(), format!("cannot write {}: {e}", path.display())))
+}
+
+/// The one output step: the `--fast` NOTE (on suites `--fast` scales; the
+/// closed-form crossover always runs at paper scale), the `.csv` tables,
+/// `<name>.txt`, then the body on stdout.
+fn emit(ctx: &Ctx, name: &str, mut body: String, csvs: &[Csv], scaled: bool) -> io::Result<()> {
+    let out = &ctx.cli.out;
+    if ctx.cli.fast && scaled {
+        body.insert_str(
+            0,
+            "NOTE: --fast uses scaled-down parameters; paper-vs-measured checks are expected to deviate.\n\n",
+        );
+    }
+    for c in csvs {
+        let path = out.join(format!("{}.csv", c.name));
+        wrote(&path, report::write_csv(out, c.name, c.header, &c.lines))?;
+    }
+    wrote(
+        &out.join(format!("{name}.txt")),
+        report::write_text(out, name, &body),
+    )?;
+    println!("{body}");
+    Ok(())
+}
+
+/// [`emit`] a suite that is one table of rows: `title` over the `.txt`
+/// table, and `<name>.csv`.
+fn emit_rows<R: Row>(ctx: &Ctx, name: &'static str, title: &str, rows: &[R]) -> io::Result<()> {
+    let body = report::section(title, &report::render_rows(rows));
+    emit(ctx, name, body, &[Csv::of(name, rows)], true)
+}
+
+/// The paper-vs-measured and shape-check sections of a paper-table report.
+fn checks_sections(checks: &[Check], shapes: &[ShapeCheck]) -> String {
+    report::section("Paper vs measured", &report::render_checks(checks))
+        + &report::section("Shape checks", &report::render_shapes(shapes))
+}
+
+/// The §8 characterization of `trace` and the figures of a paper-table
+/// report: ASCII into `body`; the figure csvs and each `(trace, name,
+/// width)` windowed-intensity csv into the out dir.
+fn figure_sections(
+    ctx: &Ctx,
+    body: &mut String,
+    title: &str,
+    trace: &Trace,
+    figs: &FigureSet,
+    windows: &[(&Trace, &str, f64)],
+) -> io::Result<()> {
+    body.push_str(&report::section(
+        title,
+        &Characterization::from_trace(trace).render(),
+    ));
+    for f in &figs.figures {
+        body.push_str(&f.to_ascii());
+        body.push('\n');
+    }
+    let out = &ctx.cli.out;
+    wrote(out, figs.write_all(out))?;
+    for &(trace, name, width) in windows {
+        let win = figures::window_series(trace, width);
+        wrote(out, figures::write_window_csv(&win, out, name))?;
+    }
+    Ok(())
+}
+
+fn run_escat(ctx: &Ctx) -> io::Result<()> {
+    let params = &ctx.escat;
     eprintln!(
         "[repro] escat: {} nodes, {} iterations...",
         params.nodes, params.iters
     );
-    let a = experiments::escat(&machine(cli.fast), &params);
-    let mut body = String::new();
-    if cli.fast {
-        body.push_str(
-            "NOTE: --fast uses scaled-down parameters; paper-vs-measured checks are expected to deviate.\n\n",
-        );
-    }
-    body.push_str(&report::section(
-        "Table 1 — ESCAT I/O operations",
-        &a.table1.render(),
-    ));
+    let a = experiments::escat(&ctx.machine, params);
+    let mut body = report::section("Table 1 — ESCAT I/O operations", &a.table1.render());
     body.push_str(&report::section(
         "Table 2 — ESCAT request sizes",
         &a.table2.render(),
     ));
-    body.push_str(&report::section(
-        "Paper vs measured",
-        &report::render_checks(&a.checks),
-    ));
-    body.push_str(&report::section(
-        "Shape checks",
-        &report::render_shapes(&a.shapes),
-    ));
+    body.push_str(&checks_sections(&a.checks, &a.shapes));
     body.push_str(&report::section(
         "Figure 4 burst spacing (s)",
         &format!("{:.1?}\n(wall {:.0}s)", a.gaps, a.out.wall_secs()),
     ));
-    body.push_str(&report::section(
-        "Qualitative characterization (paper §8)",
-        &Characterization::from_trace(&a.out.trace).render(),
-    ));
-    for f in &a.figures.figures {
-        body.push_str(&f.to_ascii());
-        body.push('\n');
-    }
-    a.figures.write_all(&cli.out).expect("write figures");
-    // Reduction-derived artifacts: windowed intensity and the staging
-    // file's spatial (region) profile.
-    let win = figures::window_series(&a.out.trace, 10.0);
-    figures::write_window_csv(&win, &cli.out, "escat-window-10s").expect("window csv");
-    let region = figures::region_series(&a.out.trace, 7, 64 * 1024);
-    figures::write_region_csv(&region, &cli.out, "escat-staging-regions").expect("region csv");
-    report::write_text(&cli.out, "escat", &body).expect("write report");
-    println!("{body}");
+    let trace = &a.out.trace;
+    let title = "Qualitative characterization (paper §8)";
+    let windows = [(trace, "escat-window-10s", 10.0)];
+    figure_sections(ctx, &mut body, title, trace, &a.figures, &windows)?;
+    // The staging file's spatial (region) profile.
+    let out = &ctx.cli.out;
+    let region = figures::region_series(trace, 7, 64 * 1024);
+    wrote(
+        out,
+        figures::write_region_csv(&region, out, "escat-staging-regions"),
+    )?;
+    emit(ctx, "escat", body, &[], true)
 }
 
-fn run_render(cli: &Cli) {
-    let _phase = sio_core::perf::phase("render");
-    let params = if cli.fast {
-        RenderParams::small(8, 4)
-    } else {
-        RenderParams::paper()
-    };
+fn run_render(ctx: &Ctx) -> io::Result<()> {
+    let params = &ctx.render;
     eprintln!(
         "[repro] render: {} nodes, {} frames...",
         params.nodes, params.frames
     );
-    let a = experiments::render(&machine(cli.fast), &params);
-    let mut body = String::new();
-    if cli.fast {
-        body.push_str(
-            "NOTE: --fast uses scaled-down parameters; paper-vs-measured checks are expected to deviate.\n\n",
-        );
-    }
-    body.push_str(&report::section(
-        "Table 3 — RENDER I/O operations",
-        &a.table3.render(),
-    ));
+    let a = experiments::render(&ctx.machine, params);
+    let mut body = report::section("Table 3 — RENDER I/O operations", &a.table3.render());
     body.push_str(&report::section(
         "Table 4 — RENDER request sizes",
         &a.table4.render(),
     ));
-    body.push_str(&report::section(
-        "Paper vs measured",
-        &report::render_checks(&a.checks),
-    ));
-    body.push_str(&report::section(
-        "Shape checks",
-        &report::render_shapes(&a.shapes),
-    ));
+    body.push_str(&checks_sections(&a.checks, &a.shapes));
     body.push_str(&format!(
         "init phase ends at {:.0}s; wall {:.0}s\n",
         a.init_end_secs,
         a.out.wall_secs()
     ));
-    body.push_str(&report::section(
-        "Qualitative characterization (paper §8)",
-        &Characterization::from_trace(&a.out.trace).render(),
-    ));
-    for f in &a.figures.figures {
-        body.push_str(&f.to_ascii());
-        body.push('\n');
-    }
-    a.figures.write_all(&cli.out).expect("write figures");
-    let win = figures::window_series(&a.out.trace, 5.0);
-    figures::write_window_csv(&win, &cli.out, "render-window-5s").expect("window csv");
-    report::write_text(&cli.out, "render", &body).expect("write report");
-    println!("{body}");
+    let trace = &a.out.trace;
+    let title = "Qualitative characterization (paper §8)";
+    let windows = [(trace, "render-window-5s", 5.0)];
+    figure_sections(ctx, &mut body, title, trace, &a.figures, &windows)?;
+    emit(ctx, "render", body, &[], true)
 }
 
-fn run_htf(cli: &Cli) {
-    let _phase = sio_core::perf::phase("htf");
-    let params = if cli.fast {
-        HtfParams::small(8)
-    } else {
-        HtfParams::paper()
-    };
-    eprintln!("[repro] htf: {} nodes, 3-program pipeline...", params.nodes);
-    let a = experiments::htf(&machine(cli.fast), &params);
+fn run_htf(ctx: &Ctx) -> io::Result<()> {
+    eprintln!(
+        "[repro] htf: {} nodes, 3-program pipeline...",
+        ctx.htf.nodes
+    );
+    let a = experiments::htf(&ctx.machine, &ctx.htf);
     let mut body = String::new();
-    if cli.fast {
-        body.push_str(
-            "NOTE: --fast uses scaled-down parameters; paper-vs-measured checks are expected to deviate.\n\n",
-        );
-    }
     for (name, table, sizes, out) in [
         (
             "HTF Initialization (psetup)",
@@ -445,76 +482,43 @@ fn run_htf(cli: &Cli) {
             &sizes.render(),
         ));
     }
-    body.push_str(&report::section(
-        "Paper vs measured",
-        &report::render_checks(&a.checks),
-    ));
-    body.push_str(&report::section(
-        "Shape checks",
-        &report::render_shapes(&a.shapes),
-    ));
-    let pipeline = sio_core::Trace::concat_pipeline(
+    body.push_str(&checks_sections(&a.checks, &a.shapes));
+    let pipeline = Trace::concat_pipeline(
         "htf-pipeline",
         &[&a.psetup.trace, &a.pargos.trace, &a.pscf.trace],
     );
-    body.push_str(&report::section(
-        "Qualitative characterization (paper §8, whole pipeline)",
-        &Characterization::from_trace(&pipeline).render(),
-    ));
-    for f in &a.figures.figures {
-        body.push_str(&f.to_ascii());
-        body.push('\n');
-    }
-    a.figures.write_all(&cli.out).expect("write figures");
-    for (trace, name) in [
-        (&a.psetup.trace, "htf-psetup-window-5s"),
-        (&a.pargos.trace, "htf-pargos-window-10s"),
-        (&a.pscf.trace, "htf-pscf-window-10s"),
-    ] {
-        let width = if name.ends_with("5s") { 5.0 } else { 10.0 };
-        let win = figures::window_series(trace, width);
-        figures::write_window_csv(&win, &cli.out, name).expect("window csv");
-    }
-    report::write_text(&cli.out, "htf", &body).expect("write report");
-    println!("{body}");
+    let title = "Qualitative characterization (paper §8, whole pipeline)";
+    let windows = [
+        (&a.psetup.trace, "htf-psetup-window-5s", 5.0),
+        (&a.pargos.trace, "htf-pargos-window-10s", 10.0),
+        (&a.pscf.trace, "htf-pscf-window-10s", 10.0),
+    ];
+    figure_sections(ctx, &mut body, title, &pipeline, &a.figures, &windows)?;
+    emit(ctx, "htf", body, &[], true)
 }
 
-fn run_ppfs_ablation(cli: &Cli) {
-    let _phase = sio_core::perf::phase("ppfs-ablation");
-    let params = if cli.fast {
-        EscatParams::small(8, 8)
-    } else {
-        EscatParams::paper()
-    };
+fn run_ppfs_ablation(ctx: &Ctx) -> io::Result<()> {
     eprintln!("[repro] ppfs ablation (ESCAT on PFS vs PPFS)...");
-    let r = experiments::ppfs_ablation(&machine(cli.fast), &params);
-    let note = if cli.fast {
-        "NOTE: --fast uses scaled-down parameters; paper-vs-measured checks are expected to deviate.\n\n"
-    } else {
-        ""
-    };
-    let body = note.to_string()
-        + &report::section(
-            "X1 — §5.2 PPFS write-behind + aggregation on ESCAT",
-            &format!(
-                "PFS  write+seek node time: {:>12.1} s\n\
+    let r = experiments::ppfs_ablation(&ctx.machine, &ctx.escat);
+    let body = report::section(
+        "X1 — §5.2 PPFS write-behind + aggregation on ESCAT",
+        &format!(
+            "PFS  write+seek node time: {:>12.1} s\n\
              PPFS write+seek node time: {:>12.1} s\n\
              improvement:               {:>12.1} x\n\
              application writes buffered: {}\n\
              flush extents written back:  {}\n",
-                r.pfs_write_seek_secs,
-                r.ppfs_write_seek_secs,
-                r.speedup,
-                r.writes_buffered,
-                r.flush_extents,
-            ),
-        );
-    report::write_text(&cli.out, "ppfs_ablation", &body).expect("write report");
-    println!("{body}");
+            r.pfs_write_seek_secs,
+            r.ppfs_write_seek_secs,
+            r.speedup,
+            r.writes_buffered,
+            r.flush_extents,
+        ),
+    );
+    emit(ctx, "ppfs_ablation", body, &[], true)
 }
 
-fn run_crossover(cli: &Cli) {
-    let _phase = sio_core::perf::phase("crossover");
+fn run_crossover(ctx: &Ctx) -> io::Result<()> {
     eprintln!("[repro] htf read-vs-recompute crossover...");
     let rows = experiments::htf_crossover_paper();
     let mut b = String::new();
@@ -529,42 +533,31 @@ fn run_crossover(cli: &Cli) {
         ));
     }
     let body = report::section("X3 — §7.2 integral read vs recompute crossover", &b);
-    let csv_rows: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{},{},{},{}",
-                r.io_rate_mb_s, r.read_us, r.compute_us, r.io_preferred
-            )
-        })
-        .collect();
-    report::write_csv(
-        &cli.out,
-        "htf_crossover",
-        "rate_mb_s,read_us,compute_us,io_preferred",
-        &csv_rows,
-    )
-    .expect("write csv");
-    report::write_text(&cli.out, "htf_crossover", &body).expect("write report");
-    println!("{body}");
+    let csv = Csv {
+        name: "htf_crossover",
+        header: "rate_mb_s,read_us,compute_us,io_preferred",
+        lines: rows
+            .iter()
+            .map(|r| {
+                format!(
+                    "{},{},{},{}",
+                    r.io_rate_mb_s, r.read_us, r.compute_us, r.io_preferred
+                )
+            })
+            .collect(),
+    };
+    emit(ctx, "htf_crossover", body, &[csv], false)
 }
 
-fn run_scaling(cli: &Cli) {
-    let _phase = sio_core::perf::phase("scaling");
+fn run_scaling(ctx: &Ctx) -> io::Result<()> {
+    let fast = ctx.cli.fast;
     eprintln!("[repro] scaling studies (S1 weak scaling, S2 data growth)...");
-    let mut body = String::new();
-    if cli.fast {
-        body.push_str(
-            "NOTE: --fast uses scaled-down parameters; paper-vs-measured checks are expected to deviate.\n\n",
-        );
-    }
-
-    let big_machine = if cli.fast {
+    let big_machine = if fast {
         MachineConfig::tiny(16, 4)
     } else {
         MachineConfig::caltech_paragon()
     };
-    let counts: &[u32] = if cli.fast {
+    let counts: &[u32] = if fast {
         &[4, 8, 16]
     } else {
         &[32, 64, 128, 256, 512]
@@ -585,34 +578,31 @@ fn run_scaling(cli: &Cli) {
             r.io_fraction * 100.0
         ));
     }
-    body.push_str(&report::section(
+    let mut body = report::section(
         "S1 — ESCAT weak scaling (same per-node work, 16 I/O nodes)",
         &b,
-    ));
-    let csv: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{},{},{},{}",
-                r.nodes, r.io_secs, r.wall_secs, r.io_fraction
-            )
-        })
-        .collect();
-    report::write_csv(
-        &cli.out,
-        "escat_scaling",
-        "nodes,io_secs,wall_secs,io_fraction",
-        &csv,
-    )
-    .expect("csv");
+    );
+    let scaling = Csv {
+        name: "escat_scaling",
+        header: "nodes,io_secs,wall_secs,io_fraction",
+        lines: rows
+            .iter()
+            .map(|r| {
+                format!(
+                    "{},{},{},{}",
+                    r.nodes, r.io_secs, r.wall_secs, r.io_fraction
+                )
+            })
+            .collect(),
+    };
 
-    let params = if cli.fast {
+    let params = if fast {
         EscatParams::small(8, 6)
     } else {
         EscatParams::paper()
     };
-    let scales: &[u32] = if cli.fast { &[1, 8] } else { &[1, 4, 16] };
-    let rows = experiments::escat_growth(&machine(cli.fast), &params, scales);
+    let scales: &[u32] = if fast { &[1, 8] } else { &[1, 4, 16] };
+    let rows = experiments::escat_growth(&ctx.machine, &params, scales);
     let mut b = String::new();
     b.push_str(
         "scale   write volume(B)   io share   wall(s)
@@ -632,204 +622,47 @@ fn run_scaling(cli: &Cli) {
         "S2 — ESCAT quadrature growth (S5.2: O(N^3) data at fixed compute)",
         &b,
     ));
-    let csv: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{},{},{},{}",
-                r.scale, r.write_volume, r.io_fraction, r.wall_secs
-            )
-        })
-        .collect();
-    report::write_csv(
-        &cli.out,
-        "escat_growth",
-        "scale,write_volume,io_fraction,wall_secs",
-        &csv,
-    )
-    .expect("csv");
-
-    report::write_text(&cli.out, "scaling", &body).expect("write report");
-    println!("{body}");
+    let growth = Csv {
+        name: "escat_growth",
+        header: "scale,write_volume,io_fraction,wall_secs",
+        lines: rows
+            .iter()
+            .map(|r| {
+                format!(
+                    "{},{},{},{}",
+                    r.scale, r.write_volume, r.io_fraction, r.wall_secs
+                )
+            })
+            .collect(),
+    };
+    emit(ctx, "scaling", body, &[scaling, growth], true)
 }
 
-fn run_faults(cli: &Cli) {
-    let _phase = sio_core::perf::phase("faults");
-    let m = machine(cli.fast);
-    let (ep, rp, hp) = if cli.fast {
-        (
-            EscatParams::small(8, 8),
-            RenderParams::small(8, 4),
-            HtfParams::small(8),
-        )
-    } else {
-        (
-            EscatParams::paper(),
-            RenderParams::paper(),
-            HtfParams::paper(),
-        )
-    };
+fn run_faults(ctx: &Ctx) -> io::Result<()> {
     eprintln!("[repro] fault suite (X4: degraded / rebuild / stalls / crash)...");
-    let rows = experiments::fault_suite(&m, &ep, &rp, &hp);
-    let mut body = String::new();
-    if cli.fast {
-        body.push_str(
-            "NOTE: --fast uses scaled-down parameters; paper-vs-measured checks are expected to deviate.\n\n",
-        );
-    }
-    let mut b = String::new();
-    b.push_str(
-        "workload   scenario    wall(s)   read(s)  write(s)  retry  failover  lost  timeout  rebuild(MB)  degraded  dirty(KB)  replayed\n",
-    );
-    for r in &rows {
-        b.push_str(&format!(
-            "{:<10} {:<9} {:>9.1} {:>9.2} {:>9.2} {:>6} {:>9} {:>5} {:>8} {:>12.1} {:>9} {:>10.1} {:>9}\n",
-            r.workload,
-            r.scenario,
-            r.wall_secs,
-            r.read_secs,
-            r.write_secs,
-            r.retries,
-            r.failovers,
-            r.lost_segments,
-            r.timeouts,
-            r.rebuilt_mb,
-            r.degraded_at_end,
-            r.dirty_bytes_lost as f64 / 1024.0,
-            r.replayed_segments,
-        ));
-    }
-    body.push_str(&report::section(
-        "X4 — fault-injection suite (timed RAID rebuild, stalls, crash + failover)",
-        &b,
-    ));
-    let csv: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{},{},{},{},{},{},{},{},{},{},{},{},{}",
-                r.workload,
-                r.scenario,
-                r.wall_secs,
-                r.read_secs,
-                r.write_secs,
-                r.retries,
-                r.failovers,
-                r.lost_segments,
-                r.timeouts,
-                r.rebuilt_mb,
-                r.degraded_at_end,
-                r.dirty_bytes_lost,
-                r.replayed_segments
-            )
-        })
-        .collect();
-    report::write_csv(
-        &cli.out,
+    let rows = experiments::fault_suite(&ctx.machine, &ctx.escat, &ctx.render, &ctx.htf);
+    emit_rows(
+        ctx,
         "faults",
-        "workload,scenario,wall_secs,read_secs,write_secs,retries,failovers,lost_segments,timeouts,rebuilt_mb,degraded_at_end,dirty_bytes_lost,replayed_segments",
-        &csv,
+        "X4 — fault-injection suite (timed RAID rebuild, stalls, crash + failover)",
+        &rows,
     )
-    .expect("write csv");
-    report::write_text(&cli.out, "faults", &body).expect("write report");
-    println!("{body}");
 }
 
-fn run_cio(cli: &Cli) {
-    let _phase = sio_core::perf::phase("cio");
-    let m = machine(cli.fast);
-    let (ep, rp, hp, scales) = if cli.fast {
-        (
-            EscatParams::small(8, 8),
-            RenderParams::small(8, 4),
-            HtfParams::small(8),
-            vec![4u32, 8],
-        )
-    } else {
-        (
-            EscatParams::paper(),
-            RenderParams::paper(),
-            HtfParams::paper(),
-            vec![64u32, 128],
-        )
-    };
+fn run_cio(ctx: &Ctx) -> io::Result<()> {
+    let scales: &[u32] = if ctx.cli.fast { &[4, 8] } else { &[64, 128] };
     eprintln!("[repro] collective I/O suite (X6: PFS vs PPFS vs CIO)...");
-    let rows = experiments::cio_suite(&m, &ep, &rp, &hp, &scales);
-    let mut body = String::new();
-    if cli.fast {
-        body.push_str(
-            "NOTE: --fast uses scaled-down parameters; paper-vs-measured checks are expected to deviate.\n\n",
-        );
-    }
-    let mut b = String::new();
-    b.push_str(
-        "workload         backend  nodes   wall(s)  wreq/io  wmean(KB)  rreq/io  rmean(KB)  exch(s)  collectives\n",
-    );
-    for r in &rows {
-        b.push_str(&format!(
-            "{:<16} {:<8} {:>5} {:>9.1} {:>8.1} {:>10.2} {:>8.1} {:>10.2} {:>8.3} {:>12}\n",
-            r.workload,
-            r.backend,
-            r.nodes,
-            r.wall_secs,
-            r.write_reqs_per_io,
-            r.mean_write_kb,
-            r.read_reqs_per_io,
-            r.mean_read_kb,
-            r.exchange_secs,
-            r.collectives,
-        ));
-    }
-    body.push_str(&report::section(
-        "X6 — collective two-phase I/O (request shape per I/O node, exchange cost)",
-        &b,
-    ));
-    let csv: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{},{},{},{},{},{},{},{},{},{}",
-                r.workload,
-                r.backend,
-                r.nodes,
-                r.wall_secs,
-                r.write_reqs_per_io,
-                r.mean_write_kb,
-                r.read_reqs_per_io,
-                r.mean_read_kb,
-                r.exchange_secs,
-                r.collectives
-            )
-        })
-        .collect();
-    report::write_csv(
-        &cli.out,
+    let rows = experiments::cio_suite(&ctx.machine, &ctx.escat, &ctx.render, &ctx.htf, scales);
+    emit_rows(
+        ctx,
         "cio",
-        "workload,backend,nodes,wall_secs,write_reqs_per_io,mean_write_kb,read_reqs_per_io,mean_read_kb,exchange_secs,collectives",
-        &csv,
+        "X6 — collective two-phase I/O (request shape per I/O node, exchange cost)",
+        &rows,
     )
-    .expect("write csv");
-    report::write_text(&cli.out, "cio", &body).expect("write report");
-    println!("{body}");
 }
 
-fn run_recover(cli: &Cli) {
-    let _phase = sio_core::perf::phase("recover");
-    let m = machine(cli.fast);
-    let (ep, rp, hp) = if cli.fast {
-        (
-            EscatParams::small(8, 8),
-            RenderParams::small(8, 4),
-            HtfParams::small(8),
-        )
-    } else {
-        (
-            EscatParams::paper(),
-            RenderParams::paper(),
-            HtfParams::paper(),
-        )
-    };
-    let scenarios: Vec<String> = match cli.crash_frac {
+fn run_recover(ctx: &Ctx) -> io::Result<()> {
+    let scenarios: Vec<String> = match ctx.cli.crash_frac {
         Some(f) => vec![format!("crash@{f}")],
         None => ["crash30", "crash70", "crash50-ionode"]
             .iter()
@@ -838,245 +671,66 @@ fn run_recover(cli: &Cli) {
     };
     eprintln!("[repro] recovery suite (X5: checkpoint interval x crash scenario)...");
     let rows = recovery::recover_suite_scenarios_jobs(
-        &m,
-        &ep,
-        &rp,
-        &hp,
+        &ctx.machine,
+        &ctx.escat,
+        &ctx.render,
+        &ctx.htf,
         &scenarios,
         runner::configured_jobs(),
     );
-    let mut body = String::new();
-    if cli.fast {
-        body.push_str(
-            "NOTE: --fast uses scaled-down parameters; paper-vs-measured checks are expected to deviate.\n\n",
-        );
-    }
-    let mut b = String::new();
-    b.push_str(
-        "workload    iv scenario        epoch  ckpt(s)  ovh(%)  crash(s)  recov(s)  ttr(s)  rerun(s)  saved(s)  lost(MB)  torn  dirty_ck(KB)\n",
-    );
-    for r in &rows {
-        b.push_str(&format!(
-            "{:<11} {:>2} {:<14} {:>2}/{:<2} {:>8.1} {:>7.2} {:>9.1} {:>9.1} {:>7.1} {:>9.1} {:>9.1} {:>9.3} {:>5} {:>13.1}\n",
-            r.workload,
-            r.interval,
-            r.scenario,
-            r.durable_epoch,
-            r.epochs,
-            r.ckpt_wall_secs,
-            r.overhead_pct,
-            r.crash_secs,
-            r.recovery_secs,
-            r.total_secs,
-            r.rerun_secs,
-            r.saved_secs,
-            r.lost_work_mb,
-            r.commits_torn,
-            r.dirty_lost_ckpt as f64 / 1024.0,
-        ));
-    }
-    body.push_str(&report::section(
-        "X5 — crash/recovery suite (checkpoint commit protocol, restart from last durable epoch)",
-        &b,
-    ));
-    let csv: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-                r.workload,
-                r.interval,
-                r.scenario,
-                r.durable_epoch,
-                r.epochs,
-                r.commits_valid,
-                r.commits_torn,
-                r.ckpt_wall_secs,
-                r.overhead_pct,
-                r.crash_secs,
-                r.recovery_secs,
-                r.total_secs,
-                r.rerun_secs,
-                r.saved_secs,
-                r.lost_work_mb
-            )
-        })
-        .collect();
-    report::write_csv(
-        &cli.out,
+    emit_rows(
+        ctx,
         "recover",
-        "workload,interval,scenario,durable_epoch,epochs,commits_valid,commits_torn,ckpt_wall_secs,overhead_pct,crash_secs,recovery_secs,total_secs,rerun_secs,saved_secs,lost_work_mb",
-        &csv,
+        "X5 — crash/recovery suite (checkpoint commit protocol, restart from last durable epoch)",
+        &rows,
     )
-    .expect("write csv");
-    report::write_text(&cli.out, "recover", &body).expect("write report");
-    println!("{body}");
 }
 
-fn run_blog(cli: &Cli) {
-    let _phase = sio_core::perf::phase("blog");
-    let m = machine(cli.fast);
-    let (ep, rp, hp) = if cli.fast {
-        (
-            EscatParams::small(8, 8),
-            RenderParams::small(8, 4),
-            HtfParams::small(8),
-        )
-    } else {
-        (
-            EscatParams::paper(),
-            RenderParams::paper(),
-            HtfParams::paper(),
-        )
-    };
+fn run_blog(ctx: &Ctx) -> io::Result<()> {
     eprintln!("[repro] burst-buffer suite (X7: log tier over pfs/ppfs/cio)...");
     let rows = burst::blog_suite_overrides_jobs(
-        &m,
-        &ep,
-        &rp,
-        &hp,
-        cli.log_mb,
-        cli.drain_mbps,
+        &ctx.machine,
+        &ctx.escat,
+        &ctx.render,
+        &ctx.htf,
+        burst::BlogPins {
+            log_mb: ctx.cli.log_mb,
+            drain_mbps: ctx.cli.drain_mbps,
+            crash_frac: ctx.cli.crash_frac,
+        },
         runner::configured_jobs(),
     );
-    let mut body = String::new();
-    if cli.fast {
-        body.push_str(
-            "NOTE: --fast uses scaled-down parameters; paper-vs-measured checks are expected to deviate.\n\n",
-        );
-    }
-    let mut b = String::new();
-    b.push_str(
-        "workload    inner  log(MB)  drain(MB/s)  crash  commit(ms)  direct(ms)  speedup  epoch  pend(MB)  replay(s)  ttr(s)  dttr(s)  lost(MB)  occ(MB)  stall(s)\n",
-    );
-    for r in &rows {
-        b.push_str(&format!(
-            "{:<11} {:<6} {:>7} {:>12.1} {:>6.2} {:>11.3} {:>11.3} {:>7.1}x {:>3}/{:<2} {:>8.1} {:>10.1} {:>7.1} {:>8.1} {:>9.3} {:>8.1} {:>8.3}\n",
-            r.workload,
-            r.inner,
-            r.log_mb,
-            r.drain_mbps,
-            r.crash_frac,
-            r.commit_ms,
-            r.direct_commit_ms,
-            r.commit_speedup,
-            r.durable_epoch,
-            r.epochs,
-            r.pending_mb,
-            r.replay_secs,
-            r.ttr_secs,
-            r.direct_ttr_secs,
-            r.lost_mb,
-            r.occ_peak_mb,
-            r.stall_secs,
-        ));
-    }
-    body.push_str(&report::section(
-        "X7 — burst-buffer tier (log-speed commits, crash-consistent drain, recovery replay)",
-        &b,
-    ));
-    let csv: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-                r.workload,
-                r.inner,
-                r.log_mb,
-                r.drain_mbps,
-                r.crash_frac,
-                r.commit_ms,
-                r.direct_commit_ms,
-                r.commit_speedup,
-                r.wall_secs,
-                r.direct_wall_secs,
-                r.durable_epoch,
-                r.direct_epoch,
-                r.epochs,
-                r.pending_mb,
-                r.replay_secs,
-                r.ttr_secs,
-                r.direct_ttr_secs,
-                r.lost_mb,
-                r.direct_lost_mb,
-                r.occ_peak_mb,
-                r.stall_secs
-            )
-        })
-        .collect();
-    report::write_csv(
-        &cli.out,
+    emit_rows(
+        ctx,
         "blog",
-        "workload,inner,log_mb,drain_mbps,crash_frac,commit_ms,direct_commit_ms,commit_speedup,wall_secs,direct_wall_secs,durable_epoch,direct_epoch,epochs,pending_mb,replay_secs,ttr_secs,direct_ttr_secs,lost_mb,direct_lost_mb,occ_peak_mb,stall_secs",
-        &csv,
+        "X7 — burst-buffer tier (log-speed commits, crash-consistent drain, recovery replay)",
+        &rows,
     )
-    .expect("write csv");
-    report::write_text(&cli.out, "blog", &body).expect("write report");
-    println!("{body}");
 }
 
-fn run_chaos(cli: &Cli) {
-    let _phase = sio_core::perf::phase("chaos");
-    let m = machine(cli.fast);
-    let (ep, rp, hp) = if cli.fast {
-        (
-            EscatParams::small(8, 8),
-            RenderParams::small(8, 4),
-            HtfParams::small(8),
-        )
-    } else {
-        (
-            EscatParams::paper(),
-            RenderParams::paper(),
-            HtfParams::paper(),
-        )
-    };
-    let seed = cli.chaos_seed.unwrap_or(42);
-    let cells = cli.cells.unwrap_or(50);
+fn run_chaos(ctx: &Ctx) -> io::Result<()> {
+    let seed = ctx.cli.chaos_seed.unwrap_or(42);
+    let cells = ctx.cli.cells.unwrap_or(50);
     eprintln!(
         "[repro] chaos campaign (X8: seed {seed}, {cells} cells over every backend x fault domain)..."
     );
-    let rows = chaos::chaos_suite_jobs(&m, &ep, &rp, &hp, seed, cells, runner::configured_jobs());
+    let rows = chaos::chaos_suite_jobs(
+        &ctx.machine,
+        &ctx.escat,
+        &ctx.render,
+        &ctx.htf,
+        seed,
+        cells,
+        runner::configured_jobs(),
+    );
     let violations = rows.iter().filter(|r| !r.invariants_ok()).count();
 
-    let mut body = String::new();
-    if cli.fast {
-        body.push_str(
-            "NOTE: --fast uses scaled-down parameters; paper-vs-measured checks are expected to deviate.\n\n",
-        );
-    }
-    let mut b = String::new();
-    b.push_str(&format!("campaign seed {seed}, {cells} cells\n"));
-    b.push_str(
-        "cell  workload    backend     domains          ev  crash  wall(s)    slow   ops    fault  avail   p99(ms)  retry  fo  unavail  epoch  ok\n",
-    );
-    for r in &rows {
-        b.push_str(&format!(
-            "{:>4}  {:<10} {:<11} {:<16} {:>3} {:>6.2} {:>9.2} {:>7.2}x {:>6} {:>6} {:>6.3} {:>9.3} {:>6} {:>3} {:>8} {:>3}/{:<2} {:>3}\n",
-            r.cell,
-            r.workload,
-            r.backend,
-            r.domains,
-            r.events,
-            r.crash_frac,
-            r.wall_secs,
-            r.slowdown,
-            r.ops,
-            r.faulted,
-            r.availability,
-            r.p99_ms,
-            r.retries,
-            r.failovers,
-            r.unavailable,
-            r.durable_epoch,
-            r.epochs,
-            if r.invariants_ok() { "yes" } else { "NO" },
-        ));
-    }
-    body.push_str(&report::section(
+    let mut b = format!("campaign seed {seed}, {cells} cells\n");
+    b.push_str(&report::render_rows(&rows));
+    let mut body = report::section(
         "X8 — chaos campaign (randomized fault sweeps, per-cell invariants)",
         &b,
-    ));
+    );
 
     let summary = chaos::domain_summary(&rows);
     let mut b = String::new();
@@ -1092,63 +746,26 @@ fn run_chaos(cli: &Cli) {
         rows.len()
     ));
     body.push_str(&report::section("X8 — per-domain summary", &b));
-
-    let csv: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-                r.cell,
-                r.workload,
-                r.backend,
-                r.domains,
-                r.events,
-                r.crash_frac,
-                r.healthy_wall_secs,
-                r.wall_secs,
-                r.slowdown,
-                r.ops,
-                r.faulted,
-                r.availability,
-                r.p99_ms,
-                r.retries,
-                r.failovers,
-                r.unavailable,
-                r.timeouts,
-                r.durable_epoch,
-                r.epochs,
-                r.hang_clean,
-                r.typed_ok,
-                r.conserved,
-                r.cut_ok
-            )
-        })
-        .collect();
-    report::write_csv(
-        &cli.out,
-        "chaos",
-        "cell,workload,backend,domains,events,crash_frac,healthy_wall_secs,wall_secs,slowdown,ops,faulted,availability,p99_ms,retries,failovers,unavailable,timeouts,durable_epoch,epochs,hang_clean,typed_ok,conserved,cut_ok",
-        &csv,
-    )
-    .expect("write csv");
-    report::write_text(&cli.out, "chaos", &body).expect("write report");
-    println!("{body}");
-    assert_eq!(violations, 0, "chaos campaign found invariant violations");
+    emit(ctx, "chaos", body, &[Csv::of("chaos", &rows)], true)?;
+    invariants_hold(violations, rows.len())
 }
 
-fn run_ablations(cli: &Cli) {
-    let _phase = sio_core::perf::phase("ablations");
-    let m = machine(cli.fast);
-    eprintln!("[repro] ablations (A1 modes, A2 policies, A3 queue, A4 raid)...");
-    let mut body = String::new();
-    if cli.fast {
-        body.push_str(
-            "NOTE: --fast uses scaled-down parameters; paper-vs-measured checks are expected to deviate.\n\n",
-        );
+/// The chaos campaign's verdict, reported after its artifacts are written.
+fn invariants_hold(violations: usize, cells: usize) -> io::Result<()> {
+    if violations == 0 {
+        Ok(())
+    } else {
+        Err(io::Error::other(format!(
+            "chaos campaign found invariant violations in {violations} of {cells} cells"
+        )))
     }
+}
 
-    let (nodes, per_node) = if cli.fast { (4, 4) } else { (32, 16) };
-    let rows = experiments::mode_ablation(&m, nodes, per_node, 2048);
+fn run_ablations(ctx: &Ctx) -> io::Result<()> {
+    let (m, fast) = (&ctx.machine, ctx.cli.fast);
+    eprintln!("[repro] ablations (A1 modes, A2 policies, A3 queue, A4 raid)...");
+    let (nodes, per_node) = if fast { (4, 4) } else { (32, 16) };
+    let rows = experiments::mode_ablation(m, nodes, per_node, 2048);
     let mut b = String::new();
     for r in &rows {
         b.push_str(&format!(
@@ -1158,12 +775,9 @@ fn run_ablations(cli: &Cli) {
             r.wall_secs
         ));
     }
-    body.push_str(&report::section(
-        "A1 — access-mode costs (synchronized writers)",
-        &b,
-    ));
+    let mut body = report::section("A1 — access-mode costs (synchronized writers)", &b);
 
-    let rows = experiments::policy_matrix(&m);
+    let rows = experiments::policy_matrix(m);
     let mut b = String::new();
     for r in &rows {
         b.push_str(&format!(
@@ -1176,7 +790,7 @@ fn run_ablations(cli: &Cli) {
         &b,
     ));
 
-    let rows = experiments::queue_discipline(&m, if cli.fast { 4 } else { 16 });
+    let rows = experiments::queue_discipline(m, if fast { 4 } else { 16 });
     let mut b = String::new();
     for r in &rows {
         b.push_str(&format!(
@@ -1186,7 +800,7 @@ fn run_ablations(cli: &Cli) {
     }
     body.push_str(&report::section("A3 — I/O-node queue discipline", &b));
 
-    let rows = experiments::raid_degraded(&m);
+    let rows = experiments::raid_degraded(m);
     let mut b = String::new();
     for r in &rows {
         b.push_str(&format!(
@@ -1196,7 +810,7 @@ fn run_ablations(cli: &Cli) {
     }
     body.push_str(&report::section("A4 — RAID-3 degraded-mode reads", &b));
 
-    let rows = experiments::two_level_buffering(&m, if cli.fast { 4 } else { 8 });
+    let rows = experiments::two_level_buffering(m, if fast { 4 } else { 8 });
     let mut b = String::new();
     for r in &rows {
         b.push_str(&format!(
@@ -1209,12 +823,12 @@ fn run_ablations(cli: &Cli) {
         &b,
     ));
 
-    let (ep, hp) = if cli.fast {
+    let (ep, hp) = if fast {
         (EscatParams::small(4, 5), HtfParams::small(4))
     } else {
         (EscatParams::paper(), HtfParams::paper())
     };
-    let rows = experiments::workload_mix(&m, &ep, &hp);
+    let rows = experiments::workload_mix(m, &ep, &hp);
     let mut b = String::new();
     for r in &rows {
         b.push_str(&format!(
@@ -1230,55 +844,51 @@ fn run_ablations(cli: &Cli) {
         "M1 — application-mix interference (paper §8: workload mixes)",
         &b,
     ));
-
-    report::write_text(&cli.out, "ablations", &body).expect("write report");
-    println!("{body}");
+    emit(ctx, "ablations", body, &[], true)
 }
 
 fn main() {
-    let cli = parse_args();
-    for what in cli.what.clone() {
-        match what.as_str() {
-            "escat" => run_escat(&cli),
-            "render" => run_render(&cli),
-            "htf" => run_htf(&cli),
-            "ppfs-ablation" => run_ppfs_ablation(&cli),
-            "crossover" => run_crossover(&cli),
-            "ablations" => run_ablations(&cli),
-            "scaling" => run_scaling(&cli),
-            "faults" => run_faults(&cli),
-            "recover" => run_recover(&cli),
-            "cio" => run_cio(&cli),
-            "blog" => run_blog(&cli),
-            "chaos" => run_chaos(&cli),
-            "all" => {
-                // Independent experiments fan out over the sweep runner;
-                // each simulation is single-threaded and deterministic, so
-                // parallelism changes nothing but wall time.
-                let cli = &cli;
-                let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = vec![
-                    Box::new(move || run_escat(cli)),
-                    Box::new(move || run_render(cli)),
-                    Box::new(move || run_htf(cli)),
-                    Box::new(move || run_ppfs_ablation(cli)),
-                    Box::new(move || run_crossover(cli)),
-                    Box::new(move || run_ablations(cli)),
-                    Box::new(move || run_scaling(cli)),
-                    Box::new(move || run_faults(cli)),
-                    Box::new(move || run_recover(cli)),
-                    Box::new(move || run_cio(cli)),
-                    Box::new(move || run_blog(cli)),
-                    Box::new(move || run_chaos(cli)),
-                ];
-                runner::par_run(runner::configured_jobs(), tasks);
-            }
-            other => unreachable!("experiment '{other}' validated in parse_args"),
+    let ctx = Ctx::new(parse_args());
+    // An unusable out dir fails before any simulation runs.
+    let out = &ctx.cli.out;
+    if let Err(e) = wrote(out, std::fs::create_dir_all(out)) {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    }
+    let mut failed = false;
+    for what in &ctx.cli.what {
+        let results = if what == "all" {
+            // Independent experiments fan out over the sweep runner; each
+            // simulation is single-threaded and deterministic, so
+            // parallelism changes nothing but wall time.
+            let ctx = &ctx;
+            let tasks = SUITES
+                .iter()
+                .map(|&(name, driver)| {
+                    Box::new(move || run(ctx, name, driver))
+                        as Box<dyn FnOnce() -> io::Result<()> + Send + '_>
+                })
+                .collect();
+            runner::par_run(runner::configured_jobs(), tasks)
+        } else {
+            let &(name, driver) = SUITES
+                .iter()
+                .find(|(name, _)| name == what)
+                .expect("experiment validated in parse_args");
+            vec![run(&ctx, name, driver)]
+        };
+        for e in results.into_iter().filter_map(Result::err) {
+            eprintln!("error: {e}");
+            failed = true;
         }
     }
-    if cli.perf {
+    if ctx.cli.perf {
         print!("{}", sio_core::perf::snapshot().render());
     }
-    eprintln!("[repro] artifacts written to {}", cli.out.display());
+    if failed {
+        std::process::exit(1);
+    }
+    eprintln!("[repro] artifacts written to {}", ctx.cli.out.display());
 }
 
 #[cfg(test)]
@@ -1483,6 +1093,16 @@ mod tests {
                 "'{bad}' must be rejected, not clamped"
             );
         }
+    }
+
+    #[test]
+    fn chaos_violations_are_an_error_not_a_panic() {
+        assert!(invariants_hold(0, 50).is_ok());
+        let err = invariants_hold(2, 50).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "chaos campaign found invariant violations in 2 of 50 cells"
+        );
     }
 
     #[test]

@@ -20,12 +20,16 @@
 //! canonical case order whatever the worker count, and the paper-scale
 //! digests live in `results/golden_blog.txt`.
 
-use crate::recovery::{commit_events, durable_cut, durable_cut_logged, lost_work_bytes};
+use crate::recovery::{
+    commit_events, durable_cut, durable_cut_logged, lost_work_bytes, run_checkpointed,
+    CheckpointedApps,
+};
+use crate::report::Row;
 use crate::runner;
 use paragon_sim::{MachineConfig, SimTime};
 use sio_apps::checkpoint::CheckpointPlan;
-use sio_apps::workload::{run_workload_crashable, Backend};
-use sio_apps::{BlogParams, CheckpointedWorkload, EscatParams, HtfParams, RenderParams};
+use sio_apps::workload::Backend;
+use sio_apps::{BlogParams, EscatParams, HtfParams, RenderParams};
 use sio_core::event::NS_PER_SEC;
 use sio_core::Trace;
 
@@ -76,6 +80,91 @@ pub struct BlogRow {
     pub stall_secs: f64,
 }
 
+impl Row for BlogRow {
+    const CSV_HEADER: &'static str = "workload,inner,log_mb,drain_mbps,crash_frac,commit_ms,direct_commit_ms,commit_speedup,wall_secs,direct_wall_secs,durable_epoch,direct_epoch,epochs,pending_mb,replay_secs,ttr_secs,direct_ttr_secs,lost_mb,direct_lost_mb,occ_peak_mb,stall_secs";
+    const TXT_HEADER: &'static str = "workload    inner  log(MB)  drain(MB/s)  crash  commit(ms)  direct(ms)  speedup  epoch  pend(MB)  replay(s)  ttr(s)  dttr(s)  lost(MB)  occ(MB)  stall(s)\n";
+
+    fn csv(&self) -> String {
+        format!(
+            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
+            self.workload,
+            self.inner,
+            self.log_mb,
+            self.drain_mbps,
+            self.crash_frac,
+            self.commit_ms,
+            self.direct_commit_ms,
+            self.commit_speedup,
+            self.wall_secs,
+            self.direct_wall_secs,
+            self.durable_epoch,
+            self.direct_epoch,
+            self.epochs,
+            self.pending_mb,
+            self.replay_secs,
+            self.ttr_secs,
+            self.direct_ttr_secs,
+            self.lost_mb,
+            self.direct_lost_mb,
+            self.occ_peak_mb,
+            self.stall_secs
+        )
+    }
+
+    fn txt(&self) -> String {
+        format!(
+            "{:<11} {:<6} {:>7} {:>12.1} {:>6.2} {:>11.3} {:>11.3} {:>7.1}x {:>3}/{:<2} {:>8.1} {:>10.1} {:>7.1} {:>8.1} {:>9.3} {:>8.1} {:>8.3}\n",
+            self.workload,
+            self.inner,
+            self.log_mb,
+            self.drain_mbps,
+            self.crash_frac,
+            self.commit_ms,
+            self.direct_commit_ms,
+            self.commit_speedup,
+            self.durable_epoch,
+            self.epochs,
+            self.pending_mb,
+            self.replay_secs,
+            self.ttr_secs,
+            self.direct_ttr_secs,
+            self.lost_mb,
+            self.occ_peak_mb,
+            self.stall_secs,
+        )
+    }
+
+    fn key(&self) -> String {
+        format!(
+            "blog-{}-{}-log{}-drain{}-crash{}",
+            self.workload, self.inner, self.log_mb, self.drain_mbps, self.crash_frac
+        )
+    }
+
+    fn canonical(&self) -> String {
+        format!(
+            "commit_ms={:.6} direct_ms={:.6} wall={:.6} dwall={:.6} epoch={}/{} depoch={} \
+             pending_mb={:.6} replay={:.6} ttr={:.6} dttr={:.6} lost_mb={:.6} dlost_mb={:.6} \
+             occ_mb={:.6} stall={:.9}",
+            self.commit_ms,
+            self.direct_commit_ms,
+            self.wall_secs,
+            self.direct_wall_secs,
+            self.durable_epoch,
+            self.epochs,
+            self.direct_epoch,
+            self.pending_mb,
+            self.replay_secs,
+            self.ttr_secs,
+            self.direct_ttr_secs,
+            self.lost_mb,
+            self.direct_lost_mb,
+            self.occ_peak_mb,
+            self.stall_secs,
+        )
+    }
+}
+
 const WORKLOADS: [&str; 3] = ["escat", "render", "htf-pargos"];
 const INNERS: [&str; 3] = ["pfs", "ppfs", "cio"];
 const BASE_LOG_MB: u64 = 64;
@@ -123,51 +212,19 @@ fn mean_commit_ns(trace: &Trace, plan: &CheckpointPlan) -> f64 {
     }
 }
 
-/// Run the X7 burst-buffer sweep with [`runner::configured_jobs`] workers.
-pub fn blog_suite(
-    machine: &MachineConfig,
-    escat: &EscatParams,
-    render: &RenderParams,
-    htf: &HtfParams,
-) -> Vec<BlogRow> {
-    blog_suite_jobs(machine, escat, render, htf, runner::configured_jobs())
+/// Sweep axes pinned from the command line (`repro blog --log-mb /
+/// --drain-mbps / --crash-frac`); `None` leaves an axis to the grid.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct BlogPins {
+    /// Per-node log capacity, MB.
+    pub log_mb: Option<u64>,
+    /// Drain bandwidth, MB/s.
+    pub drain_mbps: Option<f64>,
+    /// Crash instant, fraction of the healthy checkpointed wall.
+    pub crash_frac: Option<f64>,
 }
 
-/// [`blog_suite_jobs`] with pinned sweep axes: when a log size or drain
-/// bandwidth override is given (`repro blog --log-mb/--drain-mbps`), the
-/// grid collapses to the workload × inner cells at that point — sweeping
-/// an axis the user just pinned would be noise.
-pub fn blog_suite_overrides_jobs(
-    machine: &MachineConfig,
-    escat: &EscatParams,
-    render: &RenderParams,
-    htf: &HtfParams,
-    log_mb: Option<u64>,
-    drain_mbps: Option<f64>,
-    jobs: usize,
-) -> Vec<BlogRow> {
-    let cases = if log_mb.is_none() && drain_mbps.is_none() {
-        blog_cases()
-    } else {
-        let (l, d) = (
-            log_mb.unwrap_or(BASE_LOG_MB),
-            drain_mbps.unwrap_or(BASE_DRAIN_MBPS),
-        );
-        let mut cases = Vec::new();
-        for w in WORKLOADS {
-            for i in INNERS {
-                cases.push((w, i, l, d, BASE_CRASH));
-            }
-        }
-        cases
-    };
-    blog_suite_cases_jobs(machine, escat, render, htf, cases, jobs)
-}
-
-/// [`blog_suite`] with an explicit worker count. Three fan-out phases —
-/// healthy walls on the tier, healthy walls direct, then the crash /
-/// replay / resume cells — with shared baselines deduplicated, so rows are
-/// worker-count invariant and come back in canonical case order.
+/// Run the X7 burst-buffer sweep on `jobs` workers over the canonical grid.
 pub fn blog_suite_jobs(
     machine: &MachineConfig,
     escat: &EscatParams,
@@ -175,34 +232,40 @@ pub fn blog_suite_jobs(
     htf: &HtfParams,
     jobs: usize,
 ) -> Vec<BlogRow> {
-    blog_suite_cases_jobs(machine, escat, render, htf, blog_cases(), jobs)
+    blog_suite_overrides_jobs(machine, escat, render, htf, BlogPins::default(), jobs)
 }
 
-fn blog_suite_cases_jobs(
+/// [`blog_suite_jobs`] with pinned sweep axes: when any axis is pinned,
+/// the grid collapses to the workload × inner cells at that point —
+/// sweeping an axis the user just pinned would be noise. Three fan-out
+/// phases — healthy walls on the tier, healthy walls direct, then the
+/// crash / replay / resume cells — with shared baselines deduplicated, so
+/// rows are worker-count invariant and come back in canonical case order.
+pub fn blog_suite_overrides_jobs(
     machine: &MachineConfig,
     escat: &EscatParams,
     render: &RenderParams,
     htf: &HtfParams,
-    cases: Vec<(&'static str, &'static str, u64, f64, f64)>,
+    pins: BlogPins,
     jobs: usize,
 ) -> Vec<BlogRow> {
-    let build = |wname: &str, interval: u32, epoch: u32| -> CheckpointedWorkload {
-        match wname {
-            "escat" => escat.workload_checkpointed(interval, epoch),
-            "render" => render.workload_checkpointed(interval, epoch),
-            "htf-pargos" => htf.pargos_workload_checkpointed(interval, epoch),
-            other => panic!("unknown blog workload '{other}'"),
+    let cases = if pins == BlogPins::default() {
+        blog_cases()
+    } else {
+        let (l, d, c) = (
+            pins.log_mb.unwrap_or(BASE_LOG_MB),
+            pins.drain_mbps.unwrap_or(BASE_DRAIN_MBPS),
+            pins.crash_frac.unwrap_or(BASE_CRASH),
+        );
+        let mut cases = Vec::new();
+        for w in WORKLOADS {
+            for i in INNERS {
+                cases.push((w, i, l, d, c));
+            }
         }
+        cases
     };
-    let units_of = |wname: &str| -> Vec<u32> {
-        match wname {
-            "escat" => vec![escat.iters; escat.nodes as usize],
-            "render" => vec![render.frames],
-            "htf-pargos" => (0..htf.nodes).map(|n| htf.records_of(n)).collect(),
-            other => panic!("unknown blog workload '{other}'"),
-        }
-    };
-    let interval_of = |wname: &str| -> u32 { units_of(wname)[0].div_ceil(3).max(1) };
+    let apps = CheckpointedApps { escat, render, htf };
     let direct_of = |iname: &str| -> Backend { Backend::parse(iname).expect("known inner") };
     let blog_of = |iname: &str, log_mb: u64, drain_mbps: f64| -> Backend {
         Backend::Blog(
@@ -211,8 +274,8 @@ fn blog_suite_cases_jobs(
         )
     };
     let run_healthy = |wname: &str, backend: &Backend| {
-        let cw = build(wname, interval_of(wname), 0);
-        run_workload_crashable(machine, &cw.workload, backend, None, None, &cw.plan.covered)
+        let cw = apps.build(wname, apps.interval(wname), 0);
+        run_checkpointed(machine, &cw, backend, None, None)
     };
 
     // Phase 1: healthy checkpointed walls + commit latency on the log
@@ -222,7 +285,7 @@ fn blog_suite_cases_jobs(
     blog_cfgs.dedup();
     let blog_healthy = runner::par_map_jobs(jobs, blog_cfgs.clone(), |_, (w, i, l, d)| {
         let out = run_healthy(w, &blog_of(i, l, d));
-        let plan = build(w, interval_of(w), 0).plan;
+        let plan = apps.build(w, apps.interval(w), 0).plan;
         (out.report.wall, mean_commit_ns(&out.trace, &plan))
     });
     let blog_base = |w: &str, i: &str, l: u64, d: f64| -> (SimTime, f64) {
@@ -235,7 +298,7 @@ fn blog_suite_cases_jobs(
     direct_cfgs.dedup();
     let direct_healthy = runner::par_map_jobs(jobs, direct_cfgs.clone(), |_, (w, i)| {
         let out = run_healthy(w, &direct_of(i));
-        let plan = build(w, interval_of(w), 0).plan;
+        let plan = apps.build(w, apps.interval(w), 0).plan;
         (out.report.wall, mean_commit_ns(&out.trace, &plan))
     });
     let direct_base = |w: &str, i: &str| -> (SimTime, f64) {
@@ -247,57 +310,29 @@ fn blog_suite_cases_jobs(
         jobs,
         cases,
         |_, (wname, iname, log_mb, drain_mbps, frac)| {
-            let iv = interval_of(wname);
-            let units = units_of(wname);
+            let iv = apps.interval(wname);
+            let units = apps.units(wname);
             let blog_backend = blog_of(iname, log_mb, drain_mbps);
             let direct_backend = direct_of(iname);
             let (blog_wall, blog_commit_ns) = blog_base(wname, iname, log_mb, drain_mbps);
             let (direct_wall, direct_commit_ns) = direct_base(wname, iname);
 
-            let cw = build(wname, iv, 0);
+            let cw = apps.build(wname, iv, 0);
             let t_crash_b = SimTime((blog_wall.nanos() as f64 * frac) as u64);
-            let crashed_b = run_workload_crashable(
-                machine,
-                &cw.workload,
-                &blog_backend,
-                None,
-                Some(t_crash_b),
-                &cw.plan.covered,
-            );
+            let crashed_b = run_checkpointed(machine, &cw, &blog_backend, None, Some(t_crash_b));
             let cut_b = durable_cut_logged(&crashed_b.trace, &cw.plan, &units, t_crash_b);
             let lost_b = lost_work_bytes(&crashed_b.trace, &cw.plan, &units, cut_b.epoch);
             let stats = crashed_b.blog.expect("log tier ran");
             let replay_secs = stats.pending_bytes as f64 / (drain_mbps * 1.0e6);
-            let resumed_b = build(wname, iv, cut_b.epoch);
-            let out_b = run_workload_crashable(
-                machine,
-                &resumed_b.workload,
-                &blog_backend,
-                None,
-                None,
-                &resumed_b.plan.covered,
-            );
+            let resumed_b = apps.build(wname, iv, cut_b.epoch);
+            let out_b = run_checkpointed(machine, &resumed_b, &blog_backend, None, None);
 
             let t_crash_d = SimTime((direct_wall.nanos() as f64 * frac) as u64);
-            let crashed_d = run_workload_crashable(
-                machine,
-                &cw.workload,
-                &direct_backend,
-                None,
-                Some(t_crash_d),
-                &cw.plan.covered,
-            );
+            let crashed_d = run_checkpointed(machine, &cw, &direct_backend, None, Some(t_crash_d));
             let cut_d = durable_cut(&crashed_d.trace, &cw.plan, &units, t_crash_d);
             let lost_d = lost_work_bytes(&crashed_d.trace, &cw.plan, &units, cut_d.epoch);
-            let resumed_d = build(wname, iv, cut_d.epoch);
-            let out_d = run_workload_crashable(
-                machine,
-                &resumed_d.workload,
-                &direct_backend,
-                None,
-                None,
-                &resumed_d.plan.covered,
-            );
+            let resumed_d = apps.build(wname, iv, cut_d.epoch);
+            let out_d = run_checkpointed(machine, &resumed_d, &direct_backend, None, None);
 
             let commit_ms = blog_commit_ns / 1e6;
             let direct_commit_ms = direct_commit_ns / 1e6;
@@ -350,7 +385,10 @@ mod tests {
     fn suite_headline_claims_hold_at_small_scale() {
         let rows = small_suite(2);
         assert_eq!(rows.len(), 15, "grid shape changed");
+        let columns = BlogRow::CSV_HEADER.split(',').count();
         for r in &rows {
+            let csv = r.csv();
+            assert_eq!(csv.split(',').count(), columns, "csv drifted: {csv}");
             // The tier's contract: commits land at local-log speed — at
             // least 4x below the direct software path — while recovery
             // stays within 2x of the direct baseline.
@@ -379,5 +417,22 @@ mod tests {
     #[test]
     fn suite_rows_are_worker_count_invariant() {
         assert_eq!(small_suite(1), small_suite(8));
+    }
+
+    #[test]
+    fn crash_override_pins_the_crash_axis() {
+        let rows = blog_suite_overrides_jobs(
+            &tiny(),
+            &EscatParams::small(4, 6),
+            &RenderParams::small(4, 3),
+            &HtfParams::small(4),
+            BlogPins {
+                crash_frac: Some(0.4),
+                ..BlogPins::default()
+            },
+            2,
+        );
+        assert_eq!(rows.len(), 9, "one cell per workload x inner");
+        assert!(rows.iter().all(|r| r.crash_frac == 0.4));
     }
 }

@@ -42,14 +42,17 @@
 //! [`runner::par_map_jobs`]. Paper-scale digests live in
 //! `results/golden_chaos.txt`.
 
-use crate::recovery::{durable_cut, durable_cut_logged, DurableCut};
+use crate::recovery::{
+    durable_cut, durable_cut_logged, run_checkpointed, CheckpointedApps, DurableCut,
+};
+use crate::report::Row;
 use crate::runner;
 use paragon_sim::fault::{FaultDomain, FaultSchedule};
 use paragon_sim::{MachineConfig, SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sio_apps::workload::{run_workload_crashable, Backend, NodeLoad, RunOutput};
-use sio_apps::{BackendRegistry, CheckpointedWorkload, EscatParams, HtfParams, RenderParams};
+use sio_apps::workload::{Backend, NodeLoad, RunOutput};
+use sio_apps::{BackendRegistry, EscatParams, HtfParams, RenderParams};
 use sio_core::event::{IoOp, NS_PER_SEC};
 use sio_core::Trace;
 
@@ -450,6 +453,88 @@ impl ChaosRow {
     }
 }
 
+impl Row for ChaosRow {
+    const CSV_HEADER: &'static str = "cell,workload,backend,domains,events,crash_frac,healthy_wall_secs,wall_secs,slowdown,ops,faulted,availability,p99_ms,retries,failovers,unavailable,timeouts,durable_epoch,epochs,hang_clean,typed_ok,conserved,cut_ok";
+    const TXT_HEADER: &'static str = "cell  workload    backend     domains          ev  crash  wall(s)    slow   ops    fault  avail   p99(ms)  retry  fo  unavail  epoch  ok\n";
+
+    fn csv(&self) -> String {
+        format!(
+            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
+            self.cell,
+            self.workload,
+            self.backend,
+            self.domains,
+            self.events,
+            self.crash_frac,
+            self.healthy_wall_secs,
+            self.wall_secs,
+            self.slowdown,
+            self.ops,
+            self.faulted,
+            self.availability,
+            self.p99_ms,
+            self.retries,
+            self.failovers,
+            self.unavailable,
+            self.timeouts,
+            self.durable_epoch,
+            self.epochs,
+            self.hang_clean,
+            self.typed_ok,
+            self.conserved,
+            self.cut_ok
+        )
+    }
+
+    fn txt(&self) -> String {
+        format!(
+            "{:>4}  {:<10} {:<11} {:<16} {:>3} {:>6.2} {:>9.2} {:>7.2}x {:>6} {:>6} {:>6.3} {:>9.3} {:>6} {:>3} {:>8} {:>3}/{:<2} {:>3}\n",
+            self.cell,
+            self.workload,
+            self.backend,
+            self.domains,
+            self.events,
+            self.crash_frac,
+            self.wall_secs,
+            self.slowdown,
+            self.ops,
+            self.faulted,
+            self.availability,
+            self.p99_ms,
+            self.retries,
+            self.failovers,
+            self.unavailable,
+            self.durable_epoch,
+            self.epochs,
+            if self.invariants_ok() { "yes" } else { "NO" },
+        )
+    }
+
+    fn key(&self) -> String {
+        format!("chaos-{:02}-{}-{}", self.cell, self.workload, self.backend)
+    }
+
+    fn canonical(&self) -> String {
+        format!(
+            "domains={} events={} crash={:.6} hwall={:.6} wall={:.6} ops={} faulted={} \
+             p99={:.6} retries={} failovers={} unavailable={} epoch={}/{}",
+            self.domains,
+            self.events,
+            self.crash_frac,
+            self.healthy_wall_secs,
+            self.wall_secs,
+            self.ops,
+            self.faulted,
+            self.p99_ms,
+            self.retries,
+            self.failovers,
+            self.unavailable,
+            self.durable_epoch,
+            self.epochs,
+        )
+    }
+}
+
 /// Per-domain aggregate over a campaign: every cell whose schedule struck
 /// the domain contributes.
 #[derive(Debug, Clone, PartialEq)]
@@ -530,27 +615,7 @@ fn typed_faults(out: &RunOutput) -> (u64, u64, u64) {
     (unavailable, pf.timeouts, pf.data_loss_events)
 }
 
-/// Run the X8 chaos campaign with [`runner::configured_jobs`] workers.
-pub fn chaos_suite(
-    machine: &MachineConfig,
-    escat: &EscatParams,
-    render: &RenderParams,
-    htf: &HtfParams,
-    seed: u64,
-    cells: u32,
-) -> Vec<ChaosRow> {
-    chaos_suite_jobs(
-        machine,
-        escat,
-        render,
-        htf,
-        seed,
-        cells,
-        runner::configured_jobs(),
-    )
-}
-
-/// [`chaos_suite`] with an explicit worker count. Two fan-out phases —
+/// Run the X8 chaos campaign on `jobs` workers. Two fan-out phases —
 /// healthy baselines (one per distinct workload × backend in the
 /// campaign, deduplicated), then every cell with its schedule scaled to
 /// the baseline wall — so rows come back in cell order and are
@@ -566,23 +631,7 @@ pub fn chaos_suite_jobs(
 ) -> Vec<ChaosRow> {
     let specs = chaos_specs(seed, cells, machine.io_nodes);
 
-    let build = |wname: &str, interval: u32, epoch: u32| -> CheckpointedWorkload {
-        match wname {
-            "escat" => escat.workload_checkpointed(interval, epoch),
-            "render" => render.workload_checkpointed(interval, epoch),
-            "htf-pargos" => htf.pargos_workload_checkpointed(interval, epoch),
-            other => panic!("unknown chaos workload '{other}'"),
-        }
-    };
-    let units_of = |wname: &str| -> Vec<u32> {
-        match wname {
-            "escat" => vec![escat.iters; escat.nodes as usize],
-            "render" => vec![render.frames],
-            "htf-pargos" => (0..htf.nodes).map(|n| htf.records_of(n)).collect(),
-            other => panic!("unknown chaos workload '{other}'"),
-        }
-    };
-    let interval_of = |wname: &str| -> u32 { units_of(wname)[0].div_ceil(3).max(1) };
+    let apps = CheckpointedApps { escat, render, htf };
     let backend_of = |bname: &str| -> Backend { Backend::parse(bname).expect("registered name") };
 
     // Phase 1: healthy baselines, one per distinct (workload, backend).
@@ -591,15 +640,8 @@ pub fn chaos_suite_jobs(
     combos.dedup();
     let baselines: Vec<(SimTime, Vec<NodeLoad>)> =
         runner::par_map_jobs(jobs, combos.clone(), |_, (w, b)| {
-            let cw = build(w, interval_of(w), 0);
-            let out = run_workload_crashable(
-                machine,
-                &cw.workload,
-                &backend_of(b),
-                None,
-                None,
-                &cw.plan.covered,
-            );
+            let cw = apps.build(w, apps.interval(w), 0);
+            let out = run_checkpointed(machine, &cw, &backend_of(b), None, None);
             (out.report.wall, out.node_loads)
         });
     let base_of = |w: &str, b: &str| -> &(SimTime, Vec<NodeLoad>) {
@@ -613,14 +655,13 @@ pub fn chaos_suite_jobs(
         let stop_at = spec
             .crash_frac
             .map(|f| SimTime((healthy_wall.nanos() as f64 * f) as u64));
-        let cw = build(spec.workload, interval_of(spec.workload), 0);
-        let out = run_workload_crashable(
+        let cw = apps.build(spec.workload, apps.interval(spec.workload), 0);
+        let out = run_checkpointed(
             machine,
-            &cw.workload,
+            &cw,
             &backend_of(spec.backend),
             Some(&schedule),
             stop_at,
-            &cw.plan.covered,
         );
 
         let (unavailable, timeouts, data_loss) = typed_faults(&out);
@@ -651,7 +692,7 @@ pub fn chaos_suite_jobs(
         // plan, through the backend-appropriate cut analysis.
         let (durable_epoch, cut_ok) = match stop_at {
             Some(t) => {
-                let units = units_of(spec.workload);
+                let units = apps.units(spec.workload);
                 let cut: DurableCut = if spec.backend.starts_with("blog+") {
                     durable_cut_logged(&out.trace, &cw.plan, &units, t)
                 } else {
@@ -747,7 +788,10 @@ mod tests {
     fn small_campaign_holds_every_invariant() {
         let rows = small_suite(42, 12, 2);
         assert_eq!(rows.len(), 12);
+        let columns = ChaosRow::CSV_HEADER.split(',').count();
         for r in &rows {
+            let csv = r.csv();
+            assert_eq!(csv.split(',').count(), columns, "csv drifted: {csv}");
             assert!(
                 r.invariants_ok(),
                 "cell {} ({} on {}, {}): hang_clean={} typed_ok={} conserved={} cut_ok={} trace_ok={}",

@@ -15,6 +15,7 @@
 use crate::compare::{self, Check, ShapeCheck};
 use crate::figures::{self, FigureSet};
 use crate::optable::OpTable;
+use crate::report::Row;
 use crate::runner;
 use crate::sizetable::SizeTable;
 use paragon_sim::ionode::QueueDiscipline;
@@ -852,6 +853,73 @@ pub struct FaultRow {
     pub replayed_segments: u64,
 }
 
+impl Row for FaultRow {
+    const CSV_HEADER: &'static str = "workload,scenario,wall_secs,read_secs,write_secs,retries,failovers,lost_segments,timeouts,rebuilt_mb,degraded_at_end,dirty_bytes_lost,replayed_segments";
+    const TXT_HEADER: &'static str = "workload   scenario    wall(s)   read(s)  write(s)  retry  failover  lost  timeout  rebuild(MB)  degraded  dirty(KB)  replayed\n";
+
+    fn csv(&self) -> String {
+        format!(
+            "{},{},{},{},{},{},{},{},{},{},{},{},{}",
+            self.workload,
+            self.scenario,
+            self.wall_secs,
+            self.read_secs,
+            self.write_secs,
+            self.retries,
+            self.failovers,
+            self.lost_segments,
+            self.timeouts,
+            self.rebuilt_mb,
+            self.degraded_at_end,
+            self.dirty_bytes_lost,
+            self.replayed_segments
+        )
+    }
+
+    fn txt(&self) -> String {
+        format!(
+            "{:<10} {:<9} {:>9.1} {:>9.2} {:>9.2} {:>6} {:>9} {:>5} {:>8} {:>12.1} {:>9} {:>10.1} {:>9}\n",
+            self.workload,
+            self.scenario,
+            self.wall_secs,
+            self.read_secs,
+            self.write_secs,
+            self.retries,
+            self.failovers,
+            self.lost_segments,
+            self.timeouts,
+            self.rebuilt_mb,
+            self.degraded_at_end,
+            self.dirty_bytes_lost as f64 / 1024.0,
+            self.replayed_segments,
+        )
+    }
+
+    fn key(&self) -> String {
+        format!("faults-{}-{}", self.workload, self.scenario)
+    }
+
+    fn canonical(&self) -> String {
+        format!(
+            "wall={:.6} read={:.6} write={:.6} retries={} failovers={} lost={} \
+             timeouts={} rebuild_chunks={} rebuilt_mb={:.3} degraded={} \
+             dirty_lost={} replayed={}",
+            self.wall_secs,
+            self.read_secs,
+            self.write_secs,
+            self.retries,
+            self.failovers,
+            self.lost_segments,
+            self.timeouts,
+            self.rebuild_chunks,
+            self.rebuilt_mb,
+            self.degraded_at_end,
+            self.dirty_bytes_lost,
+            self.replayed_segments,
+        )
+    }
+}
+
 /// The canned fault schedule for one X4 scenario (`None` = healthy run,
 /// keeping the fault machinery fully dormant). Time-relative scenarios
 /// (`stalls`, `crash`) are scaled to `healthy_wall` — the workload's
@@ -1042,6 +1110,61 @@ pub struct CioRow {
     pub exchange_secs: f64,
     /// Multi-member collectives dispatched (CIO only; 0 elsewhere).
     pub collectives: u64,
+}
+
+impl Row for CioRow {
+    const CSV_HEADER: &'static str = "workload,backend,nodes,wall_secs,write_reqs_per_io,mean_write_kb,read_reqs_per_io,mean_read_kb,exchange_secs,collectives";
+    const TXT_HEADER: &'static str = "workload         backend  nodes   wall(s)  wreq/io  wmean(KB)  rreq/io  rmean(KB)  exch(s)  collectives\n";
+
+    fn csv(&self) -> String {
+        format!(
+            "{},{},{},{},{},{},{},{},{},{}",
+            self.workload,
+            self.backend,
+            self.nodes,
+            self.wall_secs,
+            self.write_reqs_per_io,
+            self.mean_write_kb,
+            self.read_reqs_per_io,
+            self.mean_read_kb,
+            self.exchange_secs,
+            self.collectives
+        )
+    }
+
+    fn txt(&self) -> String {
+        format!(
+            "{:<16} {:<8} {:>5} {:>9.1} {:>8.1} {:>10.2} {:>8.1} {:>10.2} {:>8.3} {:>12}\n",
+            self.workload,
+            self.backend,
+            self.nodes,
+            self.wall_secs,
+            self.write_reqs_per_io,
+            self.mean_write_kb,
+            self.read_reqs_per_io,
+            self.mean_read_kb,
+            self.exchange_secs,
+            self.collectives,
+        )
+    }
+
+    fn key(&self) -> String {
+        format!("cio-{}-{}-{}", self.workload, self.nodes, self.backend)
+    }
+
+    fn canonical(&self) -> String {
+        format!(
+            "wall={:.6} wreq_io={:.6} wmean_kb={:.6} rreq_io={:.6} rmean_kb={:.6} \
+             exchange={:.9} collectives={}",
+            self.wall_secs,
+            self.write_reqs_per_io,
+            self.mean_write_kb,
+            self.read_reqs_per_io,
+            self.mean_read_kb,
+            self.exchange_secs,
+            self.collectives,
+        )
+    }
 }
 
 /// The X6 cell grid: workloads × scales × backends, in canonical order.
@@ -1303,6 +1426,11 @@ mod tests {
             &HtfParams::small(4),
         );
         assert_eq!(rows.len(), 17);
+        let columns = FaultRow::CSV_HEADER.split(',').count();
+        for r in &rows {
+            let csv = r.csv();
+            assert_eq!(csv.split(',').count(), columns, "csv drifted: {csv}");
+        }
         let get = |w: &str, s: &str| -> &FaultRow {
             rows.iter()
                 .find(|r| r.workload == w && r.scenario == s)
@@ -1348,6 +1476,11 @@ mod tests {
         );
         // 3 workloads x 2 scales x 3 backends, canonical order.
         assert_eq!(rows.len(), 18);
+        let columns = CioRow::CSV_HEADER.split(',').count();
+        for r in &rows {
+            let csv = r.csv();
+            assert_eq!(csv.split(',').count(), columns, "csv drifted: {csv}");
+        }
         let get = |w: &str, n: u32, b: &str| -> &CioRow {
             rows.iter()
                 .find(|r| r.workload == w && r.nodes == n && r.backend == b)

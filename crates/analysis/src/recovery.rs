@@ -12,11 +12,14 @@
 //!
 //! Everything is a pure function of the configuration: the suite is
 //! worker-count invariant and golden-digested (`results/golden_recover.txt`).
+//! The checkpointed-app plumbing here (`CheckpointedApps`,
+//! `run_checkpointed`) also serves the X7 (`burst`) and X8 (`chaos`) suites.
 
+use crate::report::Row;
 use crate::runner;
 use paragon_sim::{FaultSchedule, MachineConfig, SimTime};
 use sio_apps::checkpoint::CheckpointPlan;
-use sio_apps::workload::{run_workload, run_workload_crashable, Backend};
+use sio_apps::workload::{run_workload, run_workload_crashable, Backend, RunOutput, Workload};
 use sio_apps::{CheckpointedWorkload, EscatParams, HtfParams, RenderParams};
 use sio_core::checkpoint::CheckpointStore;
 use sio_core::event::NS_PER_SEC;
@@ -81,56 +84,18 @@ pub fn durable_cut(
     units: &[u32],
     crash: SimTime,
 ) -> DurableCut {
-    assert_eq!(
-        units.len(),
-        plan.nodes as usize,
-        "one unit count per writer"
-    );
-    let mut store = CheckpointStore::new();
-    let slots = plan.slot_names();
-    let (mut valid, mut torn) = (0u32, 0u32);
-    let mut committed = vec![0u32; plan.nodes as usize];
-    for n in 0..plan.nodes {
-        let (writes, syncs) = commit_events(trace, plan, n);
-        for (j, w) in writes.iter().enumerate() {
-            let slot_idx = w.offset / plan.record_bytes;
-            let epoch = ((slot_idx - n as u64) / plan.nodes as u64) as u32 + 1;
-            let full = plan.image(n, epoch).encode();
-            let bytes = if j < syncs.len() {
-                full.clone()
-            } else {
-                // Unsynced: the write-behind path may have persisted only a
-                // prefix by the crash instant.
-                let span = (w.end - w.start).max(1);
-                let elapsed = crash.nanos().saturating_sub(w.start);
-                let len = ((full.len() as u64).saturating_mul(elapsed) / (2 * span))
-                    .min(full.len() as u64 - 1) as usize;
-                full[..len].to_vec()
-            };
-            match store.try_commit(&slots[n as usize], &bytes) {
-                Ok(e) => {
-                    committed[n as usize] = e;
-                    valid += 1;
-                }
-                Err(_) => torn += 1,
-            }
+    replay_commits(trace, plan, units, |synced, w, full| {
+        if synced {
+            return Some(full);
         }
-    }
-    let epoch = (0..plan.nodes as usize)
-        .map(|n| {
-            if committed[n] >= final_boundary(units[n], plan.interval) {
-                plan.epochs
-            } else {
-                committed[n]
-            }
-        })
-        .min()
-        .unwrap_or(0);
-    DurableCut {
-        epoch,
-        commits_valid: valid,
-        commits_torn: torn,
-    }
+        // Unsynced: the write-behind path may have persisted only a
+        // prefix by the crash instant.
+        let span = (w.end - w.start).max(1);
+        let elapsed = crash.nanos().saturating_sub(w.start);
+        let len = ((full.len() as u64).saturating_mul(elapsed) / (2 * span))
+            .min(full.len() as u64 - 1) as usize;
+        Some(full[..len].to_vec())
+    })
 }
 
 /// Derive the durable epoch from a crashed run under the **burst-log
@@ -149,6 +114,23 @@ pub fn durable_cut_logged(
     units: &[u32],
     crash: SimTime,
 ) -> DurableCut {
+    // Appends that completed by the crash are whole frames; a crashed
+    // engine abandons later completions, so anything else never made the
+    // trace.
+    replay_commits(trace, plan, units, |_, w, full| {
+        (w.end <= crash.nanos()).then_some(full)
+    })
+}
+
+/// Feed every writer's checkpoint commits through one [`CheckpointStore`]
+/// and take the global cut. `on_media(synced, write, image)` gives the
+/// bytes a commit left on media (`None`: it never landed, counted torn).
+fn replay_commits(
+    trace: &Trace,
+    plan: &CheckpointPlan,
+    units: &[u32],
+    on_media: impl Fn(bool, &IoEvent, Vec<u8>) -> Option<Vec<u8>>,
+) -> DurableCut {
     assert_eq!(
         units.len(),
         plan.nodes as usize,
@@ -159,24 +141,19 @@ pub fn durable_cut_logged(
     let (mut valid, mut torn) = (0u32, 0u32);
     let mut committed = vec![0u32; plan.nodes as usize];
     for n in 0..plan.nodes {
-        let (writes, _) = commit_events(trace, plan, n);
-        for w in writes {
+        let (writes, syncs) = commit_events(trace, plan, n);
+        for (j, w) in writes.iter().enumerate() {
             let slot_idx = w.offset / plan.record_bytes;
             let epoch = ((slot_idx - n as u64) / plan.nodes as u64) as u32 + 1;
             let full = plan.image(n, epoch).encode();
-            // Appends that completed by the crash are whole frames; a
-            // crashed engine abandons later completions, so anything else
-            // never made the trace.
-            if w.end > crash.nanos() {
-                torn += 1;
-                continue;
-            }
-            match store.try_commit(&slots[n as usize], &full) {
-                Ok(e) => {
+            match on_media(j < syncs.len(), w, full)
+                .map(|b| store.try_commit(&slots[n as usize], &b))
+            {
+                Some(Ok(e)) => {
                     committed[n as usize] = e;
                     valid += 1;
                 }
-                Err(_) => torn += 1,
+                _ => torn += 1,
             }
         }
     }
@@ -265,6 +242,148 @@ pub struct RecoverRow {
     pub dirty_lost_ckpt: u64,
 }
 
+impl Row for RecoverRow {
+    const CSV_HEADER: &'static str = "workload,interval,scenario,durable_epoch,epochs,commits_valid,commits_torn,ckpt_wall_secs,overhead_pct,crash_secs,recovery_secs,total_secs,rerun_secs,saved_secs,lost_work_mb";
+    const TXT_HEADER: &'static str = "workload    iv scenario        epoch  ckpt(s)  ovh(%)  crash(s)  recov(s)  ttr(s)  rerun(s)  saved(s)  lost(MB)  torn  dirty_ck(KB)\n";
+
+    fn csv(&self) -> String {
+        format!(
+            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
+            self.workload,
+            self.interval,
+            self.scenario,
+            self.durable_epoch,
+            self.epochs,
+            self.commits_valid,
+            self.commits_torn,
+            self.ckpt_wall_secs,
+            self.overhead_pct,
+            self.crash_secs,
+            self.recovery_secs,
+            self.total_secs,
+            self.rerun_secs,
+            self.saved_secs,
+            self.lost_work_mb
+        )
+    }
+
+    fn txt(&self) -> String {
+        format!(
+            "{:<11} {:>2} {:<14} {:>2}/{:<2} {:>8.1} {:>7.2} {:>9.1} {:>9.1} {:>7.1} {:>9.1} {:>9.1} {:>9.3} {:>5} {:>13.1}\n",
+            self.workload,
+            self.interval,
+            self.scenario,
+            self.durable_epoch,
+            self.epochs,
+            self.ckpt_wall_secs,
+            self.overhead_pct,
+            self.crash_secs,
+            self.recovery_secs,
+            self.total_secs,
+            self.rerun_secs,
+            self.saved_secs,
+            self.lost_work_mb,
+            self.commits_torn,
+            self.dirty_lost_ckpt as f64 / 1024.0,
+        )
+    }
+
+    fn key(&self) -> String {
+        format!(
+            "recover-{}-iv{}-{}",
+            self.workload, self.interval, self.scenario
+        )
+    }
+
+    fn canonical(&self) -> String {
+        format!(
+            "epoch={}/{} valid={} torn={} ckpt={:.6} ovh={:.4} crash={:.6} \
+             recov={:.6} ttr={:.6} rerun={:.6} saved={:.6} lost_mb={:.6} \
+             dirty_ck={}",
+            self.durable_epoch,
+            self.epochs,
+            self.commits_valid,
+            self.commits_torn,
+            self.ckpt_wall_secs,
+            self.overhead_pct,
+            self.crash_secs,
+            self.recovery_secs,
+            self.total_secs,
+            self.rerun_secs,
+            self.saved_secs,
+            self.lost_work_mb,
+            self.dirty_lost_ckpt,
+        )
+    }
+}
+
+/// Run a checkpointed workload, its plan's covered files tracked for the
+/// dirty-loss split, under optional I/O faults and crash cut.
+pub(crate) fn run_checkpointed(
+    machine: &MachineConfig,
+    cw: &CheckpointedWorkload,
+    backend: &Backend,
+    faults: Option<&FaultSchedule>,
+    crash: Option<SimTime>,
+) -> RunOutput {
+    run_workload_crashable(
+        machine,
+        &cw.workload,
+        backend,
+        faults,
+        crash,
+        &cw.plan.covered,
+    )
+}
+
+/// The checkpointed application skeletons the X5, X7 and X8 suites share,
+/// keyed by workload label (`escat`, `render`, `htf-pargos`). Each suite
+/// keeps its own workload order.
+pub(crate) struct CheckpointedApps<'a> {
+    pub(crate) escat: &'a EscatParams,
+    pub(crate) render: &'a RenderParams,
+    pub(crate) htf: &'a HtfParams,
+}
+
+impl CheckpointedApps<'_> {
+    /// The workload checkpointing every `interval` units, resumed at `epoch`.
+    pub(crate) fn build(&self, wname: &str, interval: u32, epoch: u32) -> CheckpointedWorkload {
+        match wname {
+            "escat" => self.escat.workload_checkpointed(interval, epoch),
+            "render" => self.render.workload_checkpointed(interval, epoch),
+            "htf-pargos" => self.htf.pargos_workload_checkpointed(interval, epoch),
+            other => panic!("unknown checkpointed workload '{other}'"),
+        }
+    }
+
+    /// Work units per checkpoint writer.
+    pub(crate) fn units(&self, wname: &str) -> Vec<u32> {
+        match wname {
+            "escat" => vec![self.escat.iters; self.escat.nodes as usize],
+            "render" => vec![self.render.frames],
+            "htf-pargos" => (0..self.htf.nodes)
+                .map(|n| self.htf.records_of(n))
+                .collect(),
+            other => panic!("unknown checkpointed workload '{other}'"),
+        }
+    }
+
+    /// The same application without checkpoints.
+    pub(crate) fn plain(&self, wname: &str) -> Workload {
+        match wname {
+            "escat" => self.escat.workload(),
+            "render" => self.render.workload(),
+            "htf-pargos" => self.htf.pargos_workload(),
+            other => panic!("unknown checkpointed workload '{other}'"),
+        }
+    }
+
+    /// The shared three-epoch checkpoint interval of the X7 and X8 suites.
+    pub(crate) fn interval(&self, wname: &str) -> u32 {
+        self.units(wname)[0].div_ceil(3).max(1)
+    }
+}
+
 const WORKLOADS: [&str; 3] = ["escat", "htf-pargos", "render"];
 const SCENARIOS: [&str; 3] = ["crash30", "crash70", "crash50-ionode"];
 
@@ -314,17 +433,7 @@ fn intervals_for(units: u32, wname: &str) -> Vec<u32> {
     }
 }
 
-/// Run the X5 recovery suite with [`runner::configured_jobs`] workers.
-pub fn recover_suite(
-    machine: &MachineConfig,
-    escat: &EscatParams,
-    render: &RenderParams,
-    htf: &HtfParams,
-) -> Vec<RecoverRow> {
-    recover_suite_jobs(machine, escat, render, htf, runner::configured_jobs())
-}
-
-/// [`recover_suite`] with an explicit worker count and the canned scenario
+/// Run the X5 recovery suite on `jobs` workers with the canned scenario
 /// set.
 pub fn recover_suite_jobs(
     machine: &MachineConfig,
@@ -350,38 +459,17 @@ pub fn recover_suite_scenarios_jobs(
     scenarios: &[String],
     jobs: usize,
 ) -> Vec<RecoverRow> {
-    let build = |wname: &str, interval: u32, epoch: u32| -> CheckpointedWorkload {
-        match wname {
-            "escat" => escat.workload_checkpointed(interval, epoch),
-            "htf-pargos" => htf.pargos_workload_checkpointed(interval, epoch),
-            "render" => render.workload_checkpointed(interval, epoch),
-            other => panic!("unknown recover workload '{other}'"),
-        }
-    };
+    let apps = CheckpointedApps { escat, render, htf };
     let backend_of = |wname: &str| -> Backend {
         match wname {
             "htf-pargos" => Backend::Ppfs(PolicyConfig::pargos_tuned()),
             _ => Backend::Pfs,
         }
     };
-    let units_of = |wname: &str| -> Vec<u32> {
-        match wname {
-            "escat" => vec![escat.iters; escat.nodes as usize],
-            "htf-pargos" => (0..htf.nodes).map(|n| htf.records_of(n)).collect(),
-            "render" => vec![render.frames],
-            other => panic!("unknown recover workload '{other}'"),
-        }
-    };
-    let plain_of = |wname: &str| match wname {
-        "escat" => escat.workload(),
-        "htf-pargos" => htf.pargos_workload(),
-        "render" => render.workload(),
-        other => panic!("unknown recover workload '{other}'"),
-    };
 
     let mut cells: Vec<(&str, u32)> = Vec::new();
     for w in WORKLOADS {
-        let units = units_of(w)[0];
+        let units = apps.units(w)[0];
         for iv in intervals_for(units, w) {
             cells.push((w, iv));
         }
@@ -389,21 +477,14 @@ pub fn recover_suite_scenarios_jobs(
 
     // Phase 1: uncheckpointed healthy walls (overhead baseline).
     let plain_walls = runner::par_map_jobs(jobs, WORKLOADS.to_vec(), |_, wname| {
-        run_workload(machine, &plain_of(wname), &backend_of(wname)).wall_secs()
+        run_workload(machine, &apps.plain(wname), &backend_of(wname)).wall_secs()
     });
     let plain_wall = |wname: &str| plain_walls[WORKLOADS.iter().position(|w| *w == wname).unwrap()];
 
     // Phase 2: checkpointed healthy walls per (workload, interval) cell.
     let ckpt_walls = runner::par_map_jobs(jobs, cells.clone(), |_, (wname, iv)| {
-        let cw = build(wname, iv, 0);
-        let out = run_workload_crashable(
-            machine,
-            &cw.workload,
-            &backend_of(wname),
-            None,
-            None,
-            &cw.plan.covered,
-        );
+        let cw = apps.build(wname, iv, 0);
+        let out = run_checkpointed(machine, &cw, &backend_of(wname), None, None);
         out.report.wall
     });
     let ckpt_wall = |wname: &str, iv: u32| -> SimTime {
@@ -419,32 +500,18 @@ pub fn recover_suite_scenarios_jobs(
     }
     runner::par_map_jobs(jobs, cases, |_, ((wname, iv), scenario)| {
         let backend = backend_of(wname);
-        let units = units_of(wname);
+        let units = apps.units(wname);
         let wall = ckpt_wall(wname, iv);
         let (frac, io_faults) = recover_scenario(&scenario, wall);
         let t_crash = SimTime((wall.nanos() as f64 * frac) as u64);
 
-        let cw = build(wname, iv, 0);
-        let crashed = run_workload_crashable(
-            machine,
-            &cw.workload,
-            &backend,
-            io_faults.as_ref(),
-            Some(t_crash),
-            &cw.plan.covered,
-        );
+        let cw = apps.build(wname, iv, 0);
+        let crashed = run_checkpointed(machine, &cw, &backend, io_faults.as_ref(), Some(t_crash));
         let cut = durable_cut(&crashed.trace, &cw.plan, &units, t_crash);
         let lost = lost_work_bytes(&crashed.trace, &cw.plan, &units, cut.epoch);
 
-        let resumed = build(wname, iv, cut.epoch);
-        let out = run_workload_crashable(
-            machine,
-            &resumed.workload,
-            &backend,
-            None,
-            None,
-            &resumed.plan.covered,
-        );
+        let resumed = apps.build(wname, iv, cut.epoch);
+        let out = run_checkpointed(machine, &resumed, &backend, None, None);
 
         let ckpt_secs = wall.nanos() as f64 / NS_PER_SEC;
         let crash_secs = t_crash.nanos() as f64 / NS_PER_SEC;
@@ -483,14 +550,7 @@ mod tests {
     fn durable_cut_of_healthy_full_run_is_final_epoch() {
         let p = EscatParams::small(4, 6);
         let cw = p.workload_checkpointed(2, 0);
-        let out = run_workload_crashable(
-            &MachineConfig::tiny(4, 2),
-            &cw.workload,
-            &Backend::Pfs,
-            None,
-            None,
-            &cw.plan.covered,
-        );
+        let out = run_checkpointed(&MachineConfig::tiny(4, 2), &cw, &Backend::Pfs, None, None);
         let units = vec![p.iters; p.nodes as usize];
         let cut = durable_cut(&out.trace, &cw.plan, &units, out.report.wall);
         assert_eq!(cut.epoch, cw.plan.epochs);
@@ -504,13 +564,12 @@ mod tests {
         let p = EscatParams::small(4, 6);
         let cw = p.workload_checkpointed(3, 0);
         let t = SimTime(1_000_000); // 1 ms: inside phase 1
-        let out = run_workload_crashable(
+        let out = run_checkpointed(
             &MachineConfig::tiny(4, 2),
-            &cw.workload,
+            &cw,
             &Backend::Pfs,
             None,
             Some(t),
-            &cw.plan.covered,
         );
         let units = vec![p.iters; p.nodes as usize];
         let cut = durable_cut(&out.trace, &cw.plan, &units, t);

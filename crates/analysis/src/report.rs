@@ -34,6 +34,33 @@ pub fn render_shapes(shapes: &[ShapeCheck]) -> String {
     out
 }
 
+/// One row of a golden-digested suite, declared once: the `.csv` and
+/// `.txt` table lines `repro` writes and the golden-digest entry the
+/// snapshot tests pin.
+pub trait Row {
+    /// Comma-separated column names of the `.csv` table.
+    const CSV_HEADER: &'static str;
+    /// Header line (with its newline) of the `.txt` table.
+    const TXT_HEADER: &'static str;
+    /// The row as one `.csv` line, fields in [`Row::CSV_HEADER`] order.
+    fn csv(&self) -> String;
+    /// The row as one `.txt` line, newline included.
+    fn txt(&self) -> String;
+    /// Golden-file entry name, unique per row within its suite.
+    fn key(&self) -> String;
+    /// Canonical, formatting-stable rendering the golden digest hashes.
+    fn canonical(&self) -> String;
+}
+
+/// Render rows as a `.txt` table: [`Row::TXT_HEADER`], then one line each.
+pub fn render_rows<R: Row>(rows: &[R]) -> String {
+    let mut out = R::TXT_HEADER.to_string();
+    for r in rows {
+        out.push_str(&r.txt());
+    }
+    out
+}
+
 /// Write a text report to `dir/<name>.txt` (creating `dir`).
 pub fn write_text(dir: &Path, name: &str, body: &str) -> std::io::Result<()> {
     std::fs::create_dir_all(dir)?;

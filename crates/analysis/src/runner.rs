@@ -236,9 +236,9 @@ fn take_forced_spawn_failure() -> bool {
 }
 
 /// Run a batch of heterogeneous tasks (e.g. the `repro all` experiment
-/// drivers) on up to `jobs` workers.
-pub fn par_run<'a>(jobs: usize, tasks: Vec<Box<dyn FnOnce() + Send + 'a>>) {
-    par_map_jobs(jobs, tasks, |_, task| task());
+/// drivers) on up to `jobs` workers; results in task order.
+pub fn par_run<'a, R: Send>(jobs: usize, tasks: Vec<Box<dyn FnOnce() -> R + Send + 'a>>) -> Vec<R> {
+    par_map_jobs(jobs, tasks, |_, task| task())
 }
 
 /// Render a panic payload the way the default hook would.

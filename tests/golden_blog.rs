@@ -16,34 +16,9 @@
 
 mod goldens;
 
-use sio::analysis::burst::{self, BlogRow};
+use sio::analysis::burst;
 use sio::apps::{EscatParams, HtfParams, RenderParams};
-use sio::core::sddf::fingerprint_bytes;
 use sio::paragon::MachineConfig;
-
-/// Canonical, formatting-stable rendering of one suite cell.
-fn canonical(r: &BlogRow) -> String {
-    format!(
-        "commit_ms={:.6} direct_ms={:.6} wall={:.6} dwall={:.6} epoch={}/{} depoch={} \
-         pending_mb={:.6} replay={:.6} ttr={:.6} dttr={:.6} lost_mb={:.6} dlost_mb={:.6} \
-         occ_mb={:.6} stall={:.9}",
-        r.commit_ms,
-        r.direct_commit_ms,
-        r.wall_secs,
-        r.direct_wall_secs,
-        r.durable_epoch,
-        r.epochs,
-        r.direct_epoch,
-        r.pending_mb,
-        r.replay_secs,
-        r.ttr_secs,
-        r.direct_ttr_secs,
-        r.lost_mb,
-        r.direct_lost_mb,
-        r.occ_peak_mb,
-        r.stall_secs,
-    )
-}
 
 #[test]
 fn blog_suite_matches_goldens_and_headline_claims() {
@@ -88,21 +63,9 @@ fn blog_suite_matches_goldens_and_headline_claims() {
         assert!(r.direct_epoch <= r.epochs);
     }
 
-    let computed: Vec<(String, u64)> = rows
-        .iter()
-        .map(|r| {
-            (
-                format!(
-                    "blog-{}-{}-log{}-drain{}-crash{}",
-                    r.workload, r.inner, r.log_mb, r.drain_mbps, r.crash_frac
-                ),
-                fingerprint_bytes(canonical(r).as_bytes()),
-            )
-        })
-        .collect();
-    goldens::check(
+    goldens::check_rows(
         "results/golden_blog.txt",
         "Golden digests of the X7 burst-buffer suite (FNV-1a over canonical rows), paper scale.",
-        &computed,
+        &rows,
     );
 }

@@ -22,7 +22,6 @@ mod goldens;
 
 use sio::analysis::chaos::{self, ChaosRow};
 use sio::apps::{EscatParams, HtfParams, RenderParams};
-use sio::core::sddf::fingerprint_bytes;
 use sio::paragon::MachineConfig;
 
 /// The golden campaign: seed 42, 50 cells — enough to rotate every
@@ -62,27 +61,6 @@ fn assert_invariants(rows: &[ChaosRow]) {
     }
 }
 
-/// Canonical, formatting-stable rendering of one campaign cell.
-fn canonical(r: &ChaosRow) -> String {
-    format!(
-        "domains={} events={} crash={:.6} hwall={:.6} wall={:.6} ops={} faulted={} \
-         p99={:.6} retries={} failovers={} unavailable={} epoch={}/{}",
-        r.domains,
-        r.events,
-        r.crash_frac,
-        r.healthy_wall_secs,
-        r.wall_secs,
-        r.ops,
-        r.faulted,
-        r.p99_ms,
-        r.retries,
-        r.failovers,
-        r.unavailable,
-        r.durable_epoch,
-        r.epochs,
-    )
-}
-
 #[test]
 fn chaos_campaign_matches_goldens_and_holds_invariants() {
     let rows = paper_campaign(GOLDEN_SEED, GOLDEN_CELLS);
@@ -93,19 +71,10 @@ fn chaos_campaign_matches_goldens_and_holds_invariants() {
     );
     assert_invariants(&rows);
 
-    let computed: Vec<(String, u64)> = rows
-        .iter()
-        .map(|r| {
-            (
-                format!("chaos-{:02}-{}-{}", r.cell, r.workload, r.backend),
-                fingerprint_bytes(canonical(r).as_bytes()),
-            )
-        })
-        .collect();
-    goldens::check(
+    goldens::check_rows(
         "results/golden_chaos.txt",
         "Golden digests of the X8 chaos campaign (FNV-1a over canonical cells), paper scale, seed 42.",
-        &computed,
+        &rows,
     );
 }
 

@@ -18,23 +18,7 @@ mod goldens;
 
 use sio::analysis::experiments::{self, CioRow};
 use sio::apps::{EscatParams, HtfParams, RenderParams};
-use sio::core::sddf::fingerprint_bytes;
 use sio::paragon::MachineConfig;
-
-/// Canonical, formatting-stable rendering of one suite cell.
-fn canonical(r: &CioRow) -> String {
-    format!(
-        "wall={:.6} wreq_io={:.6} wmean_kb={:.6} rreq_io={:.6} rmean_kb={:.6} \
-         exchange={:.9} collectives={}",
-        r.wall_secs,
-        r.write_reqs_per_io,
-        r.mean_write_kb,
-        r.read_reqs_per_io,
-        r.mean_read_kb,
-        r.exchange_secs,
-        r.collectives,
-    )
-}
 
 #[test]
 fn cio_suite_matches_goldens_and_headline_claims() {
@@ -85,18 +69,9 @@ fn cio_suite_matches_goldens_and_headline_claims() {
         assert_eq!(cio.mean_write_kb, pfs.mean_write_kb);
     }
 
-    let computed: Vec<(String, u64)> = rows
-        .iter()
-        .map(|r| {
-            (
-                format!("cio-{}-{}-{}", r.workload, r.nodes, r.backend),
-                fingerprint_bytes(canonical(r).as_bytes()),
-            )
-        })
-        .collect();
-    goldens::check(
+    goldens::check_rows(
         "results/golden_cio.txt",
         "Golden digests of the X6 collective-I/O suite (FNV-1a over canonical rows), paper scale.",
-        &computed,
+        &rows,
     );
 }

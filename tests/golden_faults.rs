@@ -9,31 +9,9 @@
 
 mod goldens;
 
-use sio::analysis::experiments::{self, FaultRow};
+use sio::analysis::experiments;
 use sio::apps::{EscatParams, HtfParams, RenderParams};
-use sio::core::sddf::fingerprint_bytes;
 use sio::paragon::MachineConfig;
-
-/// Canonical, formatting-stable rendering of one suite cell.
-fn canonical(r: &FaultRow) -> String {
-    format!(
-        "wall={:.6} read={:.6} write={:.6} retries={} failovers={} lost={} \
-         timeouts={} rebuild_chunks={} rebuilt_mb={:.3} degraded={} \
-         dirty_lost={} replayed={}",
-        r.wall_secs,
-        r.read_secs,
-        r.write_secs,
-        r.retries,
-        r.failovers,
-        r.lost_segments,
-        r.timeouts,
-        r.rebuild_chunks,
-        r.rebuilt_mb,
-        r.degraded_at_end,
-        r.dirty_bytes_lost,
-        r.replayed_segments,
-    )
-}
 
 #[test]
 fn fault_suite_matches_goldens() {
@@ -45,18 +23,9 @@ fn fault_suite_matches_goldens() {
         &HtfParams::paper(),
     );
     assert_eq!(rows.len(), 17, "suite shape changed; goldens need review");
-    let computed: Vec<(String, u64)> = rows
-        .iter()
-        .map(|r| {
-            (
-                format!("faults-{}-{}", r.workload, r.scenario),
-                fingerprint_bytes(canonical(r).as_bytes()),
-            )
-        })
-        .collect();
-    goldens::check(
+    goldens::check_rows(
         "results/golden_faults.txt",
         "Golden digests of the X4 fault suite (FNV-1a over canonical rows), paper scale.",
-        &computed,
+        &rows,
     );
 }

@@ -1,14 +1,24 @@
-//! Shared golden-digest machinery for the snapshot tests
-//! (`golden_traces.rs`, `golden_tables.rs`).
+//! Shared golden-digest machinery for the snapshot tests: `golden_traces`
+//! and `golden_tables` digest traces and rendered tables through
+//! [`check`]; `golden_faults`, `golden_recover`, `golden_cio`,
+//! `golden_blog` and `golden_chaos` digest suite rows through
+//! [`check_rows`].
 //!
 //! A golden file is a sorted `name<TAB>%016x` table of 64-bit FNV-1a
 //! digests ([`sio::core::sddf::fingerprint_bytes`]). The check fails with a
 //! per-entry diff; regenerate after an *intentional* model change with:
 //!
 //! ```text
-//! SIO_UPDATE_GOLDENS=1 cargo test --test golden_traces --test golden_tables
+//! SIO_UPDATE_GOLDENS=1 cargo test --test golden_traces --test golden_tables \
+//!     --test golden_faults --test golden_recover --test golden_cio \
+//!     --test golden_blog --test golden_chaos
 //! ```
 
+// Each test binary includes this module and uses only part of it.
+#![allow(dead_code)]
+
+use sio::analysis::report::Row;
+use sio::core::sddf::fingerprint_bytes;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -96,4 +106,14 @@ pub fn check(rel: &str, header: &str, computed: &[(String, u64)]) {
         "golden digests in {rel} diverged:\n{diff}\
          If the change is intentional, regenerate with SIO_UPDATE_GOLDENS=1 cargo test"
     );
+}
+
+/// [`check`] a suite's rows: one entry per row, [`Row::key`] → FNV-1a
+/// digest of [`Row::canonical`].
+pub fn check_rows<R: Row>(rel: &str, header: &str, rows: &[R]) {
+    let computed: Vec<(String, u64)> = rows
+        .iter()
+        .map(|r| (r.key(), fingerprint_bytes(r.canonical().as_bytes())))
+        .collect();
+    check(rel, header, &computed);
 }

@@ -3,7 +3,8 @@
 //! simulation, and the restart beats rerunning from scratch whenever any
 //! epoch was durable at the crash.
 
-use sio::analysis::recovery::{self, durable_cut, lost_work_bytes};
+use sio::analysis::recovery::{self, durable_cut, lost_work_bytes, RecoverRow};
+use sio::analysis::report::Row;
 use sio::apps::workload::{parallel_write_kernel, run_workload, run_workload_crashable, Backend};
 use sio::apps::{EscatParams, HtfParams, RenderParams};
 use sio::core::IoOp;
@@ -157,8 +158,11 @@ fn recover_suite_rows_are_internally_consistent() {
         4,
     );
     assert_eq!(rows.len(), 15, "suite shape changed");
+    let columns = RecoverRow::CSV_HEADER.split(',').count();
     let mut some_epoch = false;
     for r in &rows {
+        let csv = r.csv();
+        assert_eq!(csv.split(',').count(), columns, "csv drifted: {csv}");
         assert!(
             r.durable_epoch <= r.epochs,
             "{}: cut past the end",
