@@ -73,6 +73,12 @@ enum CliError {
     },
     UnknownOption(String),
     UnknownExperiment(String),
+    /// A suite option was given, but neither `all` nor any suite that
+    /// reads it was selected, so it would be silently ignored.
+    SuiteNotSelected {
+        option: &'static str,
+        suites: &'static [&'static str],
+    },
 }
 
 impl fmt::Display for CliError {
@@ -92,6 +98,11 @@ impl fmt::Display for CliError {
                 "unknown experiment '{}' (expected one of: {})",
                 e,
                 experiment_names().join(", ")
+            ),
+            CliError::SuiteNotSelected { option, suites } => write!(
+                f,
+                "{option} has no effect unless one of these suites runs: {} (or all)",
+                suites.join(", ")
             ),
         }
     }
@@ -192,6 +203,24 @@ fn parse_args_from(argv: impl IntoIterator<Item = String>) -> Result<Cli, CliErr
     }
     if cli.what.is_empty() {
         cli.what.push("all".to_string());
+    }
+    // Each suite option and the suites that read it.
+    let suite_options: [(&'static str, bool, &'static [&'static str]); 5] = [
+        (
+            "--crash-frac",
+            cli.crash_frac.is_some(),
+            &["recover", "blog"],
+        ),
+        ("--log-mb", cli.log_mb.is_some(), &["blog"]),
+        ("--drain-mbps", cli.drain_mbps.is_some(), &["blog"]),
+        ("--chaos-seed", cli.chaos_seed.is_some(), &["chaos"]),
+        ("--cells", cli.cells.is_some(), &["chaos"]),
+    ];
+    let selected = |suite: &str| cli.what.iter().any(|w| w == "all" || w == suite);
+    for (option, given, suites) in suite_options {
+        if given && !suites.iter().any(|s| selected(s)) {
+            return Err(CliError::SuiteNotSelected { option, suites });
+        }
     }
     Ok(cli)
 }
@@ -1092,6 +1121,64 @@ mod tests {
                 },
                 "'{bad}' must be rejected, not clamped"
             );
+        }
+    }
+
+    #[test]
+    fn rejects_suite_options_whose_suites_are_not_selected() {
+        let err = parse(&["--cells", "5", "crossover"]).unwrap_err();
+        assert_eq!(
+            err,
+            CliError::SuiteNotSelected {
+                option: "--cells",
+                suites: &["chaos"],
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "--cells has no effect unless one of these suites runs: chaos (or all)"
+        );
+        for (args, option) in [
+            (&["--crash-frac", "0.5", "escat"][..], "--crash-frac"),
+            (&["--log-mb", "8", "recover"][..], "--log-mb"),
+            (&["--drain-mbps", "4", "chaos"][..], "--drain-mbps"),
+            (&["--chaos-seed", "7", "blog"][..], "--chaos-seed"),
+            (
+                &["--cells", "5", "--log-mb", "8", "crossover"][..],
+                "--log-mb",
+            ),
+        ] {
+            assert!(
+                matches!(
+                    parse(args).unwrap_err(),
+                    CliError::SuiteNotSelected { option: o, .. } if o == option
+                ),
+                "{args:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn suite_options_are_accepted_with_any_suite_that_reads_them() {
+        for args in [
+            &["--cells", "5", "chaos"][..],
+            &["--cells", "5"][..],
+            &["--cells", "5", "all"][..],
+            &["--cells", "5", "escat", "all"][..],
+            &["--crash-frac", "0.5", "recover"][..],
+            &["--crash-frac", "0.5", "escat", "blog"][..],
+            &[
+                "--log-mb",
+                "8",
+                "--drain-mbps",
+                "4",
+                "--crash-frac",
+                "0.5",
+                "blog",
+            ][..],
+            &["--chaos-seed", "7", "crossover", "chaos"][..],
+        ] {
+            assert!(parse(args).is_ok(), "{args:?}");
         }
     }
 

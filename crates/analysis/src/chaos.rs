@@ -1,11 +1,11 @@
 //! X8: chaos campaign engine — seeded randomized fault sweeps across every
-//! registered backend, with per-cell invariant checking.
+//! shipped backend, with per-cell invariant checking.
 //!
 //! The X4 fault suite measures a handful of *canned* scenarios; this module
 //! asks the opposite question: does the stack stay well-behaved under
 //! schedules nobody hand-picked? A campaign is a seeded sequence of
 //! **cells**: each cell pairs one checkpointed application skeleton (ESCAT,
-//! RENDER, HTF-pargos) with one backend from [`BackendRegistry::builtin`]
+//! RENDER, HTF-pargos) with one backend from [`Backend::NAMES`]
 //! and a randomly composed [`FaultSchedule`] drawing from all four fault
 //! domains — disk (member failures and rebuilds), node (stalls and
 //! recovered crashes), link (mesh congestion), and metadata (replica stalls
@@ -52,7 +52,7 @@ use paragon_sim::{MachineConfig, SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sio_apps::workload::{Backend, NodeLoad, RunOutput};
-use sio_apps::{BackendRegistry, EscatParams, HtfParams, RenderParams};
+use sio_apps::{EscatParams, HtfParams, RenderParams};
 use sio_core::event::{IoOp, NS_PER_SEC};
 use sio_core::Trace;
 
@@ -173,7 +173,7 @@ pub struct ChaosSpec {
     pub cell: u32,
     /// Workload label (one of [`CHAOS_WORKLOADS`]).
     pub workload: &'static str,
-    /// Backend name (one of [`BackendRegistry::builtin`]'s names).
+    /// Backend name (one of [`Backend::NAMES`]).
     pub backend: &'static str,
     /// The drawn faults, at most one group per domain.
     pub faults: Vec<SpecFault>,
@@ -290,7 +290,7 @@ impl ChaosSpec {
 /// io_nodes)`, independent of worker count and of any simulation result.
 ///
 /// Workloads and backends rotate deterministically so any campaign of at
-/// least nine cells covers every registered backend; the fault draws (1–3
+/// least nine cells covers every shipped backend; the fault draws (1–3
 /// domains per cell, 1–8 scheduled events) and the crash cut of every
 /// fifth cell come from the seeded generator. Constraints the invariant
 /// checks rely on are enforced here: at most one node crash per cell
@@ -300,7 +300,7 @@ impl ChaosSpec {
 pub fn chaos_specs(seed: u64, cells: u32, io_nodes: u32) -> Vec<ChaosSpec> {
     assert!(cells > 0, "chaos campaign needs at least one cell");
     assert!(io_nodes > 0, "chaos campaign needs at least one i/o node");
-    let backends = BackendRegistry::builtin().names();
+    let backends = Backend::NAMES;
     let mut rng = StdRng::seed_from_u64(seed);
     (0..cells)
         .map(|i| {
@@ -632,7 +632,7 @@ pub fn chaos_suite_jobs(
     let specs = chaos_specs(seed, cells, machine.io_nodes);
 
     let apps = CheckpointedApps { escat, render, htf };
-    let backend_of = |bname: &str| -> Backend { Backend::parse(bname).expect("registered name") };
+    let backend_of = |bname: &str| -> Backend { Backend::parse(bname).expect("shipped name") };
 
     // Phase 1: healthy baselines, one per distinct (workload, backend).
     let mut combos: Vec<(&str, &str)> = specs.iter().map(|s| (s.workload, s.backend)).collect();
@@ -761,7 +761,7 @@ mod tests {
         let b = chaos_specs(7, 40, 4);
         assert_eq!(a, b, "same seed must give the same campaign");
         assert_ne!(a, chaos_specs(8, 40, 4), "seed must matter");
-        let backends = BackendRegistry::builtin().names();
+        let backends = Backend::NAMES;
         for (i, s) in a.iter().enumerate() {
             assert_eq!(s.cell as usize, i);
             assert_eq!(s.backend, backends[i % backends.len()]);
@@ -779,9 +779,9 @@ mod tests {
             }
             assert_eq!(s.crash_frac.is_some(), i % 5 == 4);
         }
-        // Nine-plus cells cover the whole registry.
+        // Nine-plus cells cover every name in `Backend::NAMES`.
         let seen: std::collections::BTreeSet<&str> = a.iter().map(|s| s.backend).collect();
-        assert_eq!(seen.len(), backends.len(), "registry not covered");
+        assert_eq!(seen.len(), backends.len(), "backend names not covered");
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!   latency, time-to-recovery, and lost work against going direct;
 //! * [`chaos`] — the X8 chaos campaign engine: seeded randomized fault
 //!   sweeps composing disk, node, link, and metadata faults across every
-//!   registered backend, with per-cell liveness, typed-fault,
+//!   shipped backend, with per-cell liveness, typed-fault,
 //!   byte-conservation, durable-cut, and trace invariants;
 //! * [`runner`] — the parallel sweep executor: every experiment sweep
 //!   fans its independent, deterministic simulations out over a bounded

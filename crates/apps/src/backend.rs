@@ -1,13 +1,15 @@
 //! Pluggable file-system backends: the [`FsBackend`] trait every backend
-//! implements, the [`BackendSpec`] naming/factory enum, and the
-//! [`BackendRegistry`] that maps backend names to builders.
+//! implements and the [`Backend`] naming/factory enum, whose
+//! [`Backend::NAMES`] lists every shipped backend name.
 //!
 //! The workload runner ([`crate::workload::run_workload`] and friends) is
 //! generic over `Box<dyn FsBackend>`: it registers files, runs the engine,
 //! stamps the trace, and harvests counters without knowing which file system
 //! served the run. Adding a backend means implementing [`FsBackend`] (on top
-//! of the `sio-fskit` substrate) and registering a builder — the runner,
-//! analysis experiments, and `repro` pick it up unchanged.
+//! of the `sio-fskit` substrate), teaching [`Backend::parse`] and
+//! [`Backend::build`] about it, and adding its name to [`Backend::NAMES`] —
+//! the runner, analysis experiments, conformance suite and chaos campaign
+//! pick it up unchanged.
 
 use paragon_sim::engine::{IoService, Sched};
 use paragon_sim::program::{IoRequest, IoToken};
@@ -136,7 +138,7 @@ impl DrainBackend for Box<dyn FsBackend> {
 }
 
 /// A boxed backend is itself an [`IoService`], so the engine can run any
-/// registered backend without monomorphizing per concrete type.
+/// shipped backend without monomorphizing per concrete type.
 impl IoService for Box<dyn FsBackend> {
     fn submit(
         &mut self,
@@ -333,10 +335,10 @@ impl FsBackend for Blog<Box<dyn FsBackend>> {
 }
 
 /// Which file system serves a workload. This is the *specification* — a
-/// cheap, comparable value; [`BackendSpec::build`] turns it into a live
+/// cheap, comparable value; [`Backend::build`] turns it into a live
 /// [`FsBackend`].
 #[derive(Debug, Clone, PartialEq)]
-pub enum BackendSpec {
+pub enum Backend {
     /// The Intel PFS model (`sio-pfs`).
     Pfs,
     /// The PPFS policy engine with the given configuration (`sio-ppfs`).
@@ -345,44 +347,57 @@ pub enum BackendSpec {
     Cio,
     /// The host-side burst-log tier (`sio-blog`) in front of an inner
     /// backend. Never nests: `parse` rejects `blog+blog+…`.
-    Blog(Box<BackendSpec>, BlogParams),
+    Blog(Box<Backend>, BlogParams),
 }
 
-/// The historical name of [`BackendSpec`]; existing call sites construct
-/// `Backend::Pfs` / `Backend::Ppfs(policy)` through this alias.
-pub type Backend = BackendSpec;
+impl Backend {
+    /// Every shipped backend name, in the order tools enumerate them. The
+    /// chaos campaign picks cell `i`'s backend as `NAMES[i % 9]` and the
+    /// `golden_chaos` digests pin that rotation, so `ppfs` and `ppfs-escat`
+    /// both stay even though they parse to the same spec: dropping either
+    /// would shift every later cell onto a different backend.
+    pub const NAMES: [&'static str; 9] = [
+        "pfs",
+        "ppfs",
+        "ppfs-escat",
+        "ppfs-pargos",
+        "ppfs-wt",
+        "cio",
+        "blog+pfs",
+        "blog+ppfs",
+        "blog+cio",
+    ];
 
-impl BackendSpec {
     /// Parse a backend name — the one place backend names are interpreted.
     /// `ppfs` defaults to the ESCAT-tuned policy; suffixed variants pick the
     /// other calibrated policies.
-    pub fn parse(name: &str) -> Option<BackendSpec> {
+    pub fn parse(name: &str) -> Option<Backend> {
         if let Some(inner) = name.strip_prefix("blog+") {
             // The log tier wraps a concrete backend, never itself.
             if inner.starts_with("blog") {
                 return None;
             }
-            let spec = BackendSpec::parse(inner)?;
-            return Some(BackendSpec::Blog(Box::new(spec), BlogParams::default()));
+            let spec = Backend::parse(inner)?;
+            return Some(Backend::Blog(Box::new(spec), BlogParams::default()));
         }
         match name {
-            "pfs" => Some(BackendSpec::Pfs),
-            "ppfs" | "ppfs-escat" => Some(BackendSpec::Ppfs(PolicyConfig::escat_tuned())),
-            "ppfs-pargos" => Some(BackendSpec::Ppfs(PolicyConfig::pargos_tuned())),
-            "ppfs-wt" => Some(BackendSpec::Ppfs(PolicyConfig::write_through())),
-            "cio" => Some(BackendSpec::Cio),
+            "pfs" => Some(Backend::Pfs),
+            "ppfs" | "ppfs-escat" => Some(Backend::Ppfs(PolicyConfig::escat_tuned())),
+            "ppfs-pargos" => Some(Backend::Ppfs(PolicyConfig::pargos_tuned())),
+            "ppfs-wt" => Some(Backend::Ppfs(PolicyConfig::write_through())),
+            "cio" => Some(Backend::Cio),
             _ => None,
         }
     }
 
-    /// The backend family name (inverse of [`BackendSpec::parse`] up to
+    /// The backend family name (inverse of [`Backend::parse`] up to
     /// policy details).
     pub fn name(&self) -> &'static str {
         match self {
-            BackendSpec::Pfs => "pfs",
-            BackendSpec::Ppfs(_) => "ppfs",
-            BackendSpec::Cio => "cio",
-            BackendSpec::Blog(..) => "blog",
+            Backend::Pfs => "pfs",
+            Backend::Ppfs(_) => "ppfs",
+            Backend::Cio => "cio",
+            Backend::Blog(..) => "blog",
         }
     }
 
@@ -395,91 +410,18 @@ impl BackendSpec {
         schedule: FaultSchedule,
     ) -> Box<dyn FsBackend> {
         match self {
-            BackendSpec::Pfs => Box::new(FsShell::new(machine, sink, schedule, Pfs::default())),
-            BackendSpec::Ppfs(policy) => Box::new(FsShell::new(
+            Backend::Pfs => Box::new(FsShell::new(machine, sink, schedule, Pfs::default())),
+            Backend::Ppfs(policy) => Box::new(FsShell::new(
                 machine,
                 sink,
                 schedule,
                 Ppfs::new(machine, *policy),
             )),
-            BackendSpec::Cio => Box::new(FsShell::new(machine, sink, schedule, Cio::default())),
-            BackendSpec::Blog(inner, params) => {
+            Backend::Cio => Box::new(FsShell::new(machine, sink, schedule, Cio::default())),
+            Backend::Blog(inner, params) => {
                 Box::new(Blog::new(inner.build(machine, sink, schedule), *params))
             }
         }
-    }
-}
-
-/// A named backend builder.
-pub type BackendFactory =
-    Box<dyn Fn(&MachineConfig, TraceSink, FaultSchedule) -> Box<dyn FsBackend>>;
-
-/// Name → builder registry. [`BackendRegistry::builtin`] knows the two
-/// shipped backends (and the tuned PPFS variants); tools and tests that
-/// enumerate backends iterate [`BackendRegistry::names`] instead of
-/// hard-coding the list.
-pub struct BackendRegistry {
-    entries: Vec<(&'static str, BackendFactory)>,
-}
-
-impl BackendRegistry {
-    /// Empty registry.
-    pub fn new() -> BackendRegistry {
-        BackendRegistry {
-            entries: Vec::new(),
-        }
-    }
-
-    /// The registry of shipped backends. The name → policy mapping lives in
-    /// [`BackendSpec::parse`]; each factory resolves its name through it.
-    pub fn builtin() -> BackendRegistry {
-        let mut r = BackendRegistry::new();
-        for name in [
-            "pfs",
-            "ppfs",
-            "ppfs-escat",
-            "ppfs-pargos",
-            "ppfs-wt",
-            "cio",
-            "blog+pfs",
-            "blog+ppfs",
-            "blog+cio",
-        ] {
-            let spec = BackendSpec::parse(name).expect("builtin name parses");
-            r.register(name, Box::new(move |m, s, f| spec.build(m, s, f)));
-        }
-        r
-    }
-
-    /// Add (or shadow) a named backend.
-    pub fn register(&mut self, name: &'static str, factory: BackendFactory) {
-        self.entries.retain(|(n, _)| *n != name);
-        self.entries.push((name, factory));
-    }
-
-    /// Registered backend names, in registration order.
-    pub fn names(&self) -> Vec<&'static str> {
-        self.entries.iter().map(|(n, _)| *n).collect()
-    }
-
-    /// Build the named backend, or `None` for an unknown name.
-    pub fn build(
-        &self,
-        name: &str,
-        machine: &MachineConfig,
-        sink: TraceSink,
-        schedule: FaultSchedule,
-    ) -> Option<Box<dyn FsBackend>> {
-        self.entries
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, f)| f(machine, sink, schedule))
-    }
-}
-
-impl Default for BackendRegistry {
-    fn default() -> Self {
-        BackendRegistry::builtin()
     }
 }
 
@@ -488,50 +430,34 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parse_knows_every_builtin_name() {
-        let reg = BackendRegistry::builtin();
-        for name in reg.names() {
-            assert!(BackendSpec::parse(name).is_some(), "unparsed: {name}");
+    fn every_name_parses_and_builds() {
+        let m = MachineConfig::tiny(2, 2);
+        for name in Backend::NAMES {
+            let spec = Backend::parse(name).unwrap_or_else(|| panic!("unparsed: {name}"));
+            let fs = spec.build(&m, TraceSink::new("t"), FaultSchedule::new());
+            // Every backend reports healthy arrays at birth.
+            assert_eq!(fs.degraded_nodes(), 0, "{name}");
         }
-        assert_eq!(BackendSpec::parse("pfs"), Some(BackendSpec::Pfs));
-        assert_eq!(BackendSpec::parse("nfs"), None);
-        assert_eq!(BackendSpec::Pfs.name(), "pfs");
-        assert_eq!(
-            BackendSpec::Ppfs(PolicyConfig::escat_tuned()).name(),
-            "ppfs"
-        );
+        assert_eq!(Backend::parse("pfs"), Some(Backend::Pfs));
+        assert_eq!(Backend::parse("nfs"), None);
+        assert_eq!(Backend::Pfs.name(), "pfs");
+        assert_eq!(Backend::Ppfs(PolicyConfig::escat_tuned()).name(), "ppfs");
     }
 
     #[test]
     fn blog_wraps_any_inner_but_never_itself() {
-        let wrapped = BackendSpec::parse("blog+pfs").expect("blog+pfs parses");
+        let wrapped = Backend::parse("blog+pfs").expect("blog+pfs parses");
         assert_eq!(wrapped.name(), "blog");
         assert_eq!(
             wrapped,
-            BackendSpec::Blog(Box::new(BackendSpec::Pfs), BlogParams::default())
+            Backend::Blog(Box::new(Backend::Pfs), BlogParams::default())
         );
-        assert!(BackendSpec::parse("blog+cio").is_some());
-        assert!(BackendSpec::parse("blog+ppfs-pargos").is_some());
+        assert!(Backend::parse("blog+cio").is_some());
+        assert!(Backend::parse("blog+ppfs-pargos").is_some());
         // No nesting, no unknown inner, no bare prefix.
-        assert_eq!(BackendSpec::parse("blog+blog+pfs"), None);
-        assert_eq!(BackendSpec::parse("blog+nfs"), None);
-        assert_eq!(BackendSpec::parse("blog+"), None);
-        assert_eq!(BackendSpec::parse("blog"), None);
-    }
-
-    #[test]
-    fn registry_builds_each_backend() {
-        let reg = BackendRegistry::builtin();
-        let m = MachineConfig::tiny(2, 2);
-        for name in reg.names() {
-            let fs = reg
-                .build(name, &m, TraceSink::new("t"), FaultSchedule::new())
-                .unwrap_or_else(|| panic!("no builder for {name}"));
-            // Every backend reports healthy arrays at birth.
-            assert_eq!(fs.degraded_nodes(), 0, "{name}");
-        }
-        assert!(reg
-            .build("nfs", &m, TraceSink::new("t"), FaultSchedule::new())
-            .is_none());
+        assert_eq!(Backend::parse("blog+blog+pfs"), None);
+        assert_eq!(Backend::parse("blog+nfs"), None);
+        assert_eq!(Backend::parse("blog+"), None);
+        assert_eq!(Backend::parse("blog"), None);
     }
 }

@@ -24,8 +24,8 @@
 //!   kernels (sequential / strided / random) for the mode and policy
 //!   ablations.
 //! * [`backend`] — the pluggable-backend layer: the [`FsBackend`] trait,
-//!   the [`BackendSpec`] naming/factory enum, and the [`BackendRegistry`]
-//!   of shipped backends.
+//!   and the [`Backend`] naming/factory enum with its list of shipped
+//!   backend names.
 //!
 //! Every `*Params::paper()` constructor reproduces the operation counts and
 //! byte volumes of the paper's Tables 1–6 (see `sio-analysis` for the
@@ -40,10 +40,10 @@ pub mod render;
 pub mod replay;
 pub mod workload;
 
-pub use backend::{BackendRegistry, BackendSpec, FsBackend};
+pub use backend::{Backend, FsBackend};
 pub use checkpoint::{CheckpointPlan, CheckpointedWorkload};
 pub use escat::EscatParams;
 pub use htf::HtfParams;
 pub use render::RenderParams;
 pub use sio_blog::{BlogParams, BlogStats};
-pub use workload::{run_workload, Backend, RunOutput, Workload};
+pub use workload::{run_workload, RunOutput, Workload};

@@ -24,7 +24,7 @@ pub use sio_fskit::{MetaStats, NodeLoad};
 use sio_pfs::{AccessMode, FaultStats, FileSpec};
 use sio_ppfs::PpfsStats;
 
-pub use crate::backend::{Backend, BackendSpec, FsBackend};
+pub use crate::backend::{Backend, FsBackend};
 
 /// A complete, backend-independent workload description.
 #[derive(Debug, Clone)]

@@ -23,7 +23,7 @@
 //!
 //! [`fs::Blog`] is the discrete-event wrapper: it implements
 //! `paragon_sim::engine::IoService` in front of any [`fs::DrainBackend`]
-//! and composes with the backend registry as `blog+pfs`, `blog+ppfs`, and
+//! and composes with the other backends as `blog+pfs`, `blog+ppfs`, and
 //! `blog+cio`.
 
 #![warn(missing_docs)]

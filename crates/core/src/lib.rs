@@ -9,9 +9,9 @@
 //!   ([`trace`], [`sddf`]),
 //! * the paper's three real-time reductions — file-lifetime, time-window, and
 //!   file-region summaries ([`reduce`]),
-//! * off-line statistics: summary statistics, request-size distributions with
-//!   the paper's bins (< 4 KB, < 64 KB, < 256 KB, ≥ 256 KB), and timeline
-//!   extraction ([`stats`], [`timeline`]),
+//! * off-line statistics: the request-size distribution with the paper's
+//!   bins (< 4 KB, < 64 KB, < 256 KB, ≥ 256 KB) and timeline extraction
+//!   ([`stats`], [`timeline`]),
 //! * access-pattern classification and adaptive next-access prediction
 //!   ([`classify`], [`predict`]) — the paper's §10 "future work" direction.
 //!
@@ -52,7 +52,6 @@ pub mod predict;
 pub mod reduce;
 pub mod sddf;
 pub mod stats;
-pub mod summary;
 pub mod timeline;
 pub mod trace;
 

@@ -1,110 +1,9 @@
-//! Off-line statistics: summary statistics, request-size distributions, and
-//! quantiles.
+//! Off-line statistics: the paper's request-size distribution.
 //!
-//! The paper's general statistics (§3.1: "means, variances, minima, maxima,
-//! and distributions of file operation durations and sizes") are computed
-//! here. [`SizeHistogram`] uses exactly the bins of Tables 2, 4, and 6:
-//! `< 4 KB`, `< 64 KB`, `< 256 KB`, `≥ 256 KB`.
-
-/// Streaming summary statistics (Welford's algorithm), mergeable.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct SummaryStats {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-    sum: f64,
-}
-
-impl SummaryStats {
-    /// Empty accumulator.
-    pub fn new() -> SummaryStats {
-        SummaryStats {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            sum: 0.0,
-        }
-    }
-
-    /// Add one observation.
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        self.sum += x;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Merge another accumulator into this one (parallel combination).
-    pub fn merge(&mut self, other: &SummaryStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of observations.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Arithmetic mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (0 when fewer than 2 observations).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Minimum observation (`None` when empty).
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Maximum observation (`None` when empty).
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-}
+//! [`SizeHistogram`] uses exactly the bins of Tables 2, 4, and 6:
+//! `< 4 KB`, `< 64 KB`, `< 256 KB`, `≥ 256 KB`. The per-operation counts,
+//! volumes and node times of Tables 1, 3 and 5 are summed straight from the
+//! trace by `sio-analysis`'s `OpTable`.
 
 /// The paper's request-size bins: `< 4 KB`, `< 64 KB`, `< 256 KB`, `≥ 256 KB`.
 ///
@@ -187,174 +86,9 @@ impl SizeHistogram {
     }
 }
 
-/// Exact quantiles over a stored sample (fine at characterization scale).
-#[derive(Debug, Clone, Default)]
-pub struct Quantiles {
-    values: Vec<f64>,
-    sorted: bool,
-}
-
-impl Quantiles {
-    /// Empty sample.
-    pub fn new() -> Quantiles {
-        Quantiles::default()
-    }
-
-    /// Add one observation.
-    pub fn push(&mut self, x: f64) {
-        self.values.push(x);
-        self.sorted = false;
-    }
-
-    /// Number of observations.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Whether the sample is empty.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// The `q`-quantile (0 ≤ q ≤ 1) by the nearest-rank method.
-    pub fn quantile(&mut self, q: f64) -> Option<f64> {
-        if self.values.is_empty() {
-            return None;
-        }
-        if !self.sorted {
-            // `total_cmp` is a total order, so a stray NaN cannot scramble
-            // the sort the way `partial_cmp(..).unwrap_or(Equal)` could
-            // (NaNs sort to the ends instead of corrupting their
-            // neighborhood). Observations are expected to be finite.
-            debug_assert!(
-                self.values.iter().all(|v| v.is_finite()),
-                "non-finite quantile observation"
-            );
-            self.values.sort_by(f64::total_cmp);
-            self.sorted = true;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let idx = ((q * self.values.len() as f64).ceil() as usize)
-            .saturating_sub(1)
-            .min(self.values.len() - 1);
-        Some(self.values[idx])
-    }
-
-    /// Median shorthand.
-    pub fn median(&mut self) -> Option<f64> {
-        self.quantile(0.5)
-    }
-}
-
-/// Power-of-two histogram for free-form distributions (durations, gaps).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Pow2Histogram {
-    /// `bins[i]` counts values `v` with `2^(i-1) <= v < 2^i` (bin 0: `v == 0`
-    /// or `v == 1` land in bins 0/1 respectively via `ilog2`).
-    bins: Vec<u64>,
-    count: u64,
-}
-
-impl Pow2Histogram {
-    /// Empty histogram.
-    pub fn new() -> Pow2Histogram {
-        Pow2Histogram::default()
-    }
-
-    /// Count one value.
-    pub fn push(&mut self, v: u64) {
-        let bin = if v == 0 { 0 } else { v.ilog2() as usize + 1 };
-        if self.bins.len() <= bin {
-            self.bins.resize(bin + 1, 0);
-        }
-        self.bins[bin] += 1;
-        self.count += 1;
-    }
-
-    /// Total values counted.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Bin counts, lowest power first.
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Index of the most populated bin, if any values were counted.
-    pub fn mode_bin(&self) -> Option<usize> {
-        self.bins
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, c)| **c)
-            .filter(|(_, c)| **c > 0)
-            .map(|(i, _)| i)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn welford_matches_naive() {
-        let xs = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0];
-        let mut s = SummaryStats::new();
-        for x in xs {
-            s.push(x);
-        }
-        let n = xs.len() as f64;
-        let mean = xs.iter().sum::<f64>() / n;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
-        assert!((s.mean() - mean).abs() < 1e-12);
-        assert!((s.variance() - var).abs() < 1e-12);
-        assert_eq!(s.min(), Some(1.0));
-        assert_eq!(s.max(), Some(9.0));
-        assert_eq!(s.count(), 8);
-    }
-
-    #[test]
-    fn welford_merge_matches_single_stream() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64) * 0.7 - 3.0).collect();
-        let mut whole = SummaryStats::new();
-        for &x in &xs {
-            whole.push(x);
-        }
-        let mut a = SummaryStats::new();
-        let mut b = SummaryStats::new();
-        for (i, &x) in xs.iter().enumerate() {
-            if i % 3 == 0 {
-                a.push(x)
-            } else {
-                b.push(x)
-            }
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = SummaryStats::new();
-        a.push(2.0);
-        let before = a;
-        a.merge(&SummaryStats::new());
-        assert_eq!(a, before);
-        let mut e = SummaryStats::new();
-        e.merge(&before);
-        assert_eq!(e, before);
-    }
-
-    #[test]
-    fn empty_stats_are_sane() {
-        let s = SummaryStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.min(), None);
-        assert_eq!(s.max(), None);
-    }
 
     #[test]
     fn size_bins_are_half_open_and_exclusive() {
@@ -403,57 +137,5 @@ mod tests {
         b.push(KB4);
         a.merge(&b);
         assert_eq!(a.as_row(), [1, 1, 0, 1]);
-    }
-
-    #[test]
-    fn quantiles_nearest_rank() {
-        let mut q = Quantiles::new();
-        for v in [5.0, 1.0, 3.0, 2.0, 4.0] {
-            q.push(v);
-        }
-        assert_eq!(q.median(), Some(3.0));
-        assert_eq!(q.quantile(0.0), Some(1.0));
-        assert_eq!(q.quantile(1.0), Some(5.0));
-        assert_eq!(q.quantile(0.2), Some(1.0));
-        assert_eq!(Quantiles::new().median(), None);
-    }
-
-    #[test]
-    fn quantiles_total_order_handles_signed_zero_and_negatives() {
-        // total_cmp orders -0.0 < +0.0 and negatives correctly — the cases a
-        // partial_cmp fallback could silently misorder.
-        let mut q = Quantiles::new();
-        for v in [0.0, -1.5, -0.0, 7.0, -3.0] {
-            q.push(v);
-        }
-        assert_eq!(q.quantile(0.0), Some(-3.0));
-        assert_eq!(q.median(), Some(-0.0));
-        assert_eq!(q.quantile(1.0), Some(7.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "non-finite quantile observation")]
-    #[cfg(debug_assertions)]
-    fn quantiles_reject_nan_in_debug() {
-        let mut q = Quantiles::new();
-        q.push(f64::NAN);
-        let _ = q.median();
-    }
-
-    #[test]
-    fn pow2_histogram_bins() {
-        let mut h = Pow2Histogram::new();
-        h.push(0); // bin 0
-        h.push(1); // bin 1
-        h.push(2); // bin 2
-        h.push(3); // bin 2
-        h.push(1024); // bin 11
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.bins()[0], 1);
-        assert_eq!(h.bins()[1], 1);
-        assert_eq!(h.bins()[2], 2);
-        assert_eq!(h.bins()[11], 1);
-        assert_eq!(h.mode_bin(), Some(2));
-        assert_eq!(Pow2Histogram::new().mode_bin(), None);
     }
 }

@@ -517,7 +517,7 @@ impl<P: Policy> FsShell<P> {
         &self.policy
     }
 
-    /// The backend policy, mutably (per-file advice, checkpoint coverage).
+    /// The backend policy, mutably (checkpoint coverage).
     pub fn policy_mut(&mut self) -> &mut P {
         &mut self.policy
     }

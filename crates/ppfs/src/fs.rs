@@ -24,7 +24,6 @@
 //! recorded, so the paper's tables can be regenerated for either file
 //! system and compared (DESIGN.md experiment X1).
 
-use crate::advice::FileAdvice;
 use crate::cache::{BlockCache, BlockState};
 use crate::policy::PolicyConfig;
 use crate::prefetch::StreamPrefetcher;
@@ -140,8 +139,6 @@ pub struct Ppfs {
     server_caches: Vec<BlockCache>,
     /// Pending server-cache hit deliveries: timer id -> (node, file, blocks).
     fetch_hits: FastMap<u64, (NodeId, u32, Vec<u64>)>,
-    /// Per-file policy advice (paper §10: advertised access patterns).
-    advice: FastMap<u32, FileAdvice>,
     /// Files whose contents are reconstructible from a durable checkpoint
     /// (splits the dirty-loss accounting into checkpointed vs lost work).
     checkpoint_covered: FastSet<u32>,
@@ -178,7 +175,6 @@ impl Ppfs {
             stats: PpfsStats::default(),
             server_caches,
             fetch_hits: FastMap::default(),
-            advice: FastMap::default(),
             checkpoint_covered: FastSet::default(),
         }
     }
@@ -189,22 +185,6 @@ impl Ppfs {
     /// total.
     pub fn mark_checkpoint_covered(&mut self, file: u32) {
         self.checkpoint_covered.insert(file);
-    }
-
-    /// Advertise expected access behavior for one file (paper §10). The
-    /// advice overrides the matching pieces of the global policy for that
-    /// file only.
-    pub fn advise(&mut self, file: u32, advice: FileAdvice) {
-        self.advice.insert(file, advice);
-    }
-
-    /// The effective policy for one file (global policy with any advice
-    /// applied).
-    pub fn policy_for(&self, file: u32) -> PolicyConfig {
-        match self.advice.get(&file) {
-            Some(a) => a.apply(&self.policy),
-            None => self.policy,
-        }
     }
 
     /// Running statistics: the policy's counters merged with the shared
@@ -390,7 +370,7 @@ impl Ppfs {
         file: u32,
         sched: &mut Sched,
     ) {
-        let aggregation = self.policy_for(file).aggregation;
+        let aggregation = self.policy.aggregation;
         let block_size = self.policy.block_size;
         let Some(buf) = self.dirty.get_mut(&(node, file)) else {
             return;
@@ -540,10 +520,9 @@ impl Ppfs {
                 },
             );
         }
-        // Prefetch suggestions, bounded by the file length. The prefetch
-        // policy may be overridden per file by advice.
+        // Prefetch suggestions, bounded by the file length.
         let suggestions = {
-            let policy = self.policy_for(file).prefetch;
+            let policy = self.policy.prefetch;
             let pf = self
                 .prefetchers
                 .entry((node, file))
@@ -590,7 +569,7 @@ impl Ppfs {
     ) {
         fs.files.state(file).extend_to(offset + bytes);
         let rate = fs.cfg.io_sw.client_byte_rate;
-        if self.policy_for(file).write_behind {
+        if self.policy.write_behind {
             // Complete into the dirty buffer at copy cost.
             let ready = now + SimDuration::from_secs_f64(self.policy.hit_cost_secs);
             let done = fs.client.copy_done(node, ready, bytes, rate);
@@ -938,7 +917,7 @@ impl Policy for Ppfs {
         let mut remaining: Vec<(NodeId, u32)> = self.dirty.keys().copied().collect();
         remaining.sort_unstable();
         for key in remaining {
-            let aggregation = self.policy_for(key.1).aggregation;
+            let aggregation = self.policy.aggregation;
             let block_size = self.policy.block_size;
             let buf = self.dirty.get_mut(&key).unwrap();
             if !buf.is_empty() {
@@ -1328,50 +1307,6 @@ mod tests {
         );
         assert_eq!(stats.server_hits, 1);
         assert_eq!(stats.server_misses, 0);
-    }
-
-    #[test]
-    fn per_file_advice_overrides_global_policy() {
-        // Global policy: write-through. File 0 advised as staging
-        // (write-behind + aggregation); file 1 inherits write-through.
-        let m = machine();
-        let mut fs = ppfs(&m, PolicyConfig::write_through(), "advice");
-        fs.register(FileSpec::output("staging"));
-        fs.register(FileSpec::output("plain"));
-        fs.policy_mut()
-            .advise(0, crate::advice::FileAdvice::staging());
-        let mut ops = vec![open(0), open(1)];
-        for i in 0..8u64 {
-            ops.push(ScriptOp::Io(IoRequest::seek(0, i * 2048)));
-            ops.push(ScriptOp::Io(IoRequest::write(0, 2048)));
-            ops.push(ScriptOp::Io(IoRequest::seek(1, i * 2048)));
-            ops.push(ScriptOp::Io(IoRequest::write(1, 2048)));
-        }
-        let programs: Vec<Box<dyn NodeProgram>> = vec![Box::new(ScriptProgram::new(ops))];
-        let mut engine = Engine::new(Mesh::for_nodes(4, 2), m.comm, programs, fs);
-        engine.set_default_watchdog();
-        let report = engine.run();
-        assert!(report.clean());
-        let stats = engine
-            .service()
-            .policy()
-            .stats(engine.service().substrate());
-        // Only the advised file's writes were buffered.
-        assert_eq!(stats.writes_buffered, 8);
-        let trace = engine.into_service().finish_trace();
-        let wtime = |file: u32| -> u64 {
-            trace
-                .of_op(IoOp::Write)
-                .filter(|e| e.file == file)
-                .map(|e| e.duration())
-                .sum()
-        };
-        assert!(
-            wtime(0) * 3 < wtime(1),
-            "advised {} !<< plain {}",
-            wtime(0),
-            wtime(1)
-        );
     }
 
     #[test]

@@ -26,13 +26,11 @@
 //! in contrast to PFS's shared-file seek RPC — one of the two effects behind
 //! the §5.2 result (the other is write-behind absorbing the 2 KB writes).
 
-pub mod advice;
 pub mod cache;
 pub mod fs;
 pub mod policy;
 pub mod prefetch;
 pub mod write_behind;
 
-pub use advice::FileAdvice;
 pub use fs::{Ppfs, PpfsStats};
 pub use policy::{Eviction, PolicyConfig, PrefetchPolicy};

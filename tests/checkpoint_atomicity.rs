@@ -308,7 +308,7 @@ proptest! {
         let machine = MachineConfig::tiny(4, 2);
         let p = EscatParams::small(4, 6);
         let cw = p.workload_checkpointed(2, 0);
-        let backend = Backend::parse(inner).expect("registry name");
+        let backend = Backend::parse(inner).expect("shipped name");
         let units = vec![p.iters; p.nodes as usize];
         let healthy = run_workload_crashable(
             &machine, &cw.workload, &backend, None, None, &cw.plan.covered,
@@ -360,7 +360,7 @@ proptest! {
         let machine = MachineConfig::tiny(4, 2);
         let p = EscatParams::small(4, 6);
         let cw = p.workload_checkpointed(2, 0);
-        let backend = Backend::parse("blog+pfs").expect("registry name");
+        let backend = Backend::parse("blog+pfs").expect("shipped name");
         let units = vec![p.iters; p.nodes as usize];
         let healthy = run_workload_crashable(
             &machine, &cw.workload, &backend, None, None, &cw.plan.covered,

@@ -11,12 +11,11 @@
 //! Timing may differ per backend, and backends may add *internal* traffic
 //! (write-behind flushes, prefetch reads, collective exchange waits); the
 //! application-visible traced shape and the byte conservation laws may not
-//! differ. The suite enumerates `BackendRegistry::builtin()` — a new
-//! backend gets every case for free the moment it is registered, with no
-//! per-backend carve-outs.
+//! differ. The suite enumerates `Backend::NAMES` — a new backend gets every
+//! case for free the moment its name is listed, with no per-backend
+//! carve-outs.
 
 use sio::apps::workload::{run_workload, run_workload_with_faults, Backend, Workload};
-use sio::apps::{BackendRegistry, BackendSpec};
 use sio::core::event::IoOp;
 use sio::paragon::program::{IoRequest, ScriptOp};
 use sio::paragon::{FaultSchedule, MachineConfig, SimTime};
@@ -26,17 +25,16 @@ fn m() -> MachineConfig {
     MachineConfig::tiny(4, 2)
 }
 
-/// Every backend the shipped registry knows, resolved through the single
-/// naming entry point. Conformance cases iterate this — never a hard-coded
-/// subset — so registering a backend opts it into the whole suite.
+/// Every shipped backend name, resolved through the single naming entry
+/// point. Conformance cases iterate this — never a hard-coded subset — so
+/// listing a backend in `Backend::NAMES` opts it into the whole suite.
 fn conformance_backends() -> Vec<(&'static str, Backend)> {
-    BackendRegistry::builtin()
-        .names()
+    Backend::NAMES
         .into_iter()
         .map(|name| {
             (
                 name,
-                BackendSpec::parse(name).expect("registered backend name parses"),
+                Backend::parse(name).expect("shipped backend name parses"),
             )
         })
         .collect()
@@ -453,7 +451,7 @@ fn request_accounting_conserves_bytes_per_io_node() {
 }
 
 /// The burst-log wrapper's durability contract, for every inner backend in
-/// the registry: a `Sync` commits at log speed (its Flush interval is far
+/// `Backend::NAMES`: a `Sync` commits at log speed (its Flush interval is far
 /// shorter than the direct backend's), but by the end of a clean run every
 /// acknowledged byte must have drained into the inner tier — the log holds
 /// nothing, and the inner I/O nodes accepted exactly the logical volume.

@@ -25,7 +25,7 @@ use sio::apps::{EscatParams, HtfParams, RenderParams};
 use sio::paragon::MachineConfig;
 
 /// The golden campaign: seed 42, 50 cells — enough to rotate every
-/// registered backend through all three workloads with varied draws.
+/// shipped backend through all three workloads with varied draws.
 const GOLDEN_SEED: u64 = 42;
 const GOLDEN_CELLS: u32 = 50;
 

@@ -4,7 +4,7 @@
 //! run owns its own `Tracer`; the shared-buffer `Mutex` is per-run).
 
 use sio::analysis::{experiments, recovery, runner};
-use sio::apps::workload::{run_workload, Backend, Workload};
+use sio::apps::workload::{run_workload, Backend, RunOutput, Workload};
 use sio::apps::{EscatParams, HtfParams, RenderParams};
 use sio::core::sddf;
 use sio::paragon::MachineConfig;
@@ -115,6 +115,42 @@ fn recover_suite_is_worker_count_invariant() {
     assert_jobs_invariant("recover_suite", |jobs| {
         recovery::recover_suite_jobs(&machine, &ep, &rp, &hp, jobs)
     });
+}
+
+/// The paper-table fan-outs (`htf`, `ppfs_ablation`) take no worker count:
+/// they go through `runner::par_map`, which reads the process-wide count.
+/// This is the only test in this binary that sets that global — every other
+/// test passes its worker counts explicitly — so flipping it here cannot
+/// race with another test's expectations.
+#[test]
+fn paper_table_fan_outs_are_worker_count_invariant() {
+    let machine = m();
+    let hp = HtfParams::small(4);
+    let ep = EscatParams::small(4, 4);
+    let fingerprint = |outs: &[&RunOutput]| -> Vec<(Vec<u8>, u64, u64)> {
+        outs.iter()
+            .map(|o| {
+                let wall = o.report.wall.nanos();
+                (sddf::to_bytes(&o.trace), o.report.events, wall)
+            })
+            .collect()
+    };
+    let run = |jobs: usize| {
+        runner::set_jobs(jobs);
+        let h = experiments::htf(&machine, &hp);
+        let x = experiments::ppfs_ablation(&machine, &ep);
+        fingerprint(&[&h.psetup, &h.pargos, &h.pscf, &x.pfs, &x.ppfs])
+    };
+    let serial = run(1);
+    let pooled = run(8);
+    runner::set_jobs(0);
+    assert!(serial
+        .iter()
+        .all(|&(_, events, wall)| events > 0 && wall > 0));
+    assert!(
+        serial == pooled,
+        "htf / ppfs_ablation: jobs=8 diverged from serial"
+    );
 }
 
 /// Interleave many concurrent `run_workload` calls for *different*

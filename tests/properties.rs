@@ -6,7 +6,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use sio::core::event::{IoEvent, IoOp};
 use sio::core::sddf;
-use sio::core::stats::{SizeHistogram, SummaryStats};
+use sio::core::stats::SizeHistogram;
 use sio::core::trace::{Trace, TraceMeta};
 use sio::paragon::raid::Raid3;
 use sio::pfs::StripeLayout;
@@ -135,33 +135,6 @@ proptest! {
     }
 
     // ---------------- statistics ----------------
-
-    /// Merged summary statistics equal single-stream statistics.
-    #[test]
-    fn summary_stats_merge_is_exact(
-        xs in vec(-1.0e6f64..1.0e6, 1..200),
-        split in 0usize..200,
-    ) {
-        let split = split % xs.len();
-        let mut whole = SummaryStats::new();
-        for &x in &xs {
-            whole.push(x);
-        }
-        let mut a = SummaryStats::new();
-        let mut b = SummaryStats::new();
-        for &x in &xs[..split] {
-            a.push(x);
-        }
-        for &x in &xs[split..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        prop_assert_eq!(a.count(), whole.count());
-        prop_assert!((a.mean() - whole.mean()).abs() <= 1e-6 * (1.0 + whole.mean().abs()));
-        prop_assert!((a.variance() - whole.variance()).abs() <= 1e-4 * (1.0 + whole.variance()));
-        prop_assert_eq!(a.min(), whole.min());
-        prop_assert_eq!(a.max(), whole.max());
-    }
 
     /// The size histogram's bins partition the requests: totals always add
     /// up and each value lands in exactly the bin a naive comparison picks.
@@ -507,7 +480,7 @@ proptest! {
                 prop_assert!(w[0].at <= w[1].at);
             }
         }
-        // A campaign spanning the registry rotation covers every backend.
+        // A campaign spanning the backend-name rotation covers every backend.
         if cells >= 9 {
             let seen: BTreeSet<&str> = a.iter().map(|s| s.backend).collect();
             prop_assert_eq!(seen.len(), 9);
