@@ -22,16 +22,14 @@
 
 use crate::recovery::{
     commit_events, durable_cut, durable_cut_logged, lost_work_bytes, run_checkpointed,
-    CheckpointedApps,
+    CheckpointedApps, WriterCommits,
 };
 use crate::report::Row;
 use crate::runner;
 use paragon_sim::{MachineConfig, SimTime};
-use sio_apps::checkpoint::CheckpointPlan;
 use sio_apps::workload::Backend;
 use sio_apps::{BlogParams, EscatParams, HtfParams, RenderParams};
 use sio_core::event::NS_PER_SEC;
-use sio_core::Trace;
 
 /// One cell of the X7 burst-buffer sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -193,14 +191,13 @@ fn blog_cases() -> Vec<(&'static str, &'static str, u64, f64, f64)> {
     cases
 }
 
-/// Mean issue → durable latency of the checkpoint commits in a healthy
-/// run's trace, nanoseconds: per writer, the `j`-th slot `Write`'s start
-/// through the `j`-th commit `Flush`'s end.
-fn mean_commit_ns(trace: &Trace, plan: &CheckpointPlan) -> f64 {
+/// Mean issue → durable latency of a healthy run's checkpoint commits
+/// (see [`commit_events`]), nanoseconds: per writer, the `j`-th slot
+/// `Write`'s start through the `j`-th commit `Flush`'s end.
+pub(crate) fn mean_commit_ns(commits: &[WriterCommits]) -> f64 {
     let (mut sum, mut n) = (0u128, 0u64);
-    for node in 0..plan.nodes {
-        let (writes, syncs) = commit_events(trace, plan, node);
-        for (w, s) in writes.iter().zip(syncs.iter()) {
+    for c in commits {
+        for (w, s) in c.writes.iter().zip(c.syncs.iter()) {
             sum += (s.end - w.start) as u128;
             n += 1;
         }
@@ -286,7 +283,10 @@ pub fn blog_suite_overrides_jobs(
     let blog_healthy = runner::par_map_jobs(jobs, blog_cfgs.clone(), |_, (w, i, l, d)| {
         let out = run_healthy(w, &blog_of(i, l, d));
         let plan = apps.build(w, apps.interval(w), 0).plan;
-        (out.report.wall, mean_commit_ns(&out.trace, &plan))
+        (
+            out.report.wall,
+            mean_commit_ns(&commit_events(&out.trace, &plan)),
+        )
     });
     let blog_base = |w: &str, i: &str, l: u64, d: f64| -> (SimTime, f64) {
         blog_healthy[blog_cfgs.iter().position(|c| *c == (w, i, l, d)).unwrap()]
@@ -299,7 +299,10 @@ pub fn blog_suite_overrides_jobs(
     let direct_healthy = runner::par_map_jobs(jobs, direct_cfgs.clone(), |_, (w, i)| {
         let out = run_healthy(w, &direct_of(i));
         let plan = apps.build(w, apps.interval(w), 0).plan;
-        (out.report.wall, mean_commit_ns(&out.trace, &plan))
+        (
+            out.report.wall,
+            mean_commit_ns(&commit_events(&out.trace, &plan)),
+        )
     });
     let direct_base = |w: &str, i: &str| -> (SimTime, f64) {
         direct_healthy[direct_cfgs.iter().position(|c| *c == (w, i)).unwrap()]

@@ -41,24 +41,37 @@ pub struct DurableCut {
 /// Checkpoint commits of one writer, in commit order: the `j`-th completed
 /// checkpoint-file write pairs with the `j`-th completed checkpoint-file
 /// sync. A write past the sync count was still unsynced at the crash.
-pub(crate) fn commit_events<'a>(
-    trace: &'a Trace,
-    plan: &CheckpointPlan,
-    node: u32,
-) -> (Vec<&'a IoEvent>, Vec<&'a IoEvent>) {
-    let mut writes: Vec<&IoEvent> = trace
-        .events()
-        .iter()
-        .filter(|e| e.file == plan.file && e.node == node && e.op == IoOp::Write)
-        .collect();
-    writes.sort_by_key(|e| (e.start, e.offset));
-    let mut syncs: Vec<&IoEvent> = trace
-        .events()
-        .iter()
-        .filter(|e| e.file == plan.file && e.node == node && e.op == IoOp::Flush)
-        .collect();
-    syncs.sort_by_key(|e| e.start);
-    (writes, syncs)
+#[derive(Debug, Default, PartialEq)]
+pub(crate) struct WriterCommits<'a> {
+    pub(crate) writes: Vec<&'a IoEvent>,
+    pub(crate) syncs: Vec<&'a IoEvent>,
+}
+
+/// Every writer's checkpoint commits, indexed by writer node, bucketed in
+/// one scan of the trace. Events from nodes outside the plan's writers are
+/// ignored.
+pub(crate) fn commit_events<'a>(trace: &'a Trace, plan: &CheckpointPlan) -> Vec<WriterCommits<'a>> {
+    let mut commits: Vec<WriterCommits> =
+        (0..plan.nodes).map(|_| WriterCommits::default()).collect();
+    for e in trace.events() {
+        if e.file != plan.file {
+            continue;
+        }
+        let Some(w) = commits.get_mut(e.node as usize) else {
+            continue;
+        };
+        match e.op {
+            IoOp::Write => w.writes.push(e),
+            IoOp::Flush => w.syncs.push(e),
+            _ => {}
+        }
+    }
+    // Stable sorts: ties keep capture order.
+    for w in &mut commits {
+        w.writes.sort_by_key(|e| (e.start, e.offset));
+        w.syncs.sort_by_key(|e| e.start);
+    }
+    commits
 }
 
 /// Final boundary epoch of a writer with `units` work units: the writer
@@ -84,7 +97,17 @@ pub fn durable_cut(
     units: &[u32],
     crash: SimTime,
 ) -> DurableCut {
-    replay_commits(trace, plan, units, |synced, w, full| {
+    synced_cut(&commit_events(trace, plan), plan, units, crash)
+}
+
+/// [`durable_cut`] over already-bucketed commits.
+fn synced_cut(
+    commits: &[WriterCommits],
+    plan: &CheckpointPlan,
+    units: &[u32],
+    crash: SimTime,
+) -> DurableCut {
+    replay_commits(commits, plan, units, |synced, w, full| {
         if synced {
             return Some(full);
         }
@@ -114,10 +137,20 @@ pub fn durable_cut_logged(
     units: &[u32],
     crash: SimTime,
 ) -> DurableCut {
+    logged_cut(&commit_events(trace, plan), plan, units, crash)
+}
+
+/// [`durable_cut_logged`] over already-bucketed commits.
+fn logged_cut(
+    commits: &[WriterCommits],
+    plan: &CheckpointPlan,
+    units: &[u32],
+    crash: SimTime,
+) -> DurableCut {
     // Appends that completed by the crash are whole frames; a crashed
     // engine abandons later completions, so anything else never made the
     // trace.
-    replay_commits(trace, plan, units, |_, w, full| {
+    replay_commits(commits, plan, units, |_, w, full| {
         (w.end <= crash.nanos()).then_some(full)
     })
 }
@@ -126,7 +159,7 @@ pub fn durable_cut_logged(
 /// and take the global cut. `on_media(synced, write, image)` gives the
 /// bytes a commit left on media (`None`: it never landed, counted torn).
 fn replay_commits(
-    trace: &Trace,
+    commits: &[WriterCommits],
     plan: &CheckpointPlan,
     units: &[u32],
     on_media: impl Fn(bool, &IoEvent, Vec<u8>) -> Option<Vec<u8>>,
@@ -140,13 +173,12 @@ fn replay_commits(
     let slots = plan.slot_names();
     let (mut valid, mut torn) = (0u32, 0u32);
     let mut committed = vec![0u32; plan.nodes as usize];
-    for n in 0..plan.nodes {
-        let (writes, syncs) = commit_events(trace, plan, n);
-        for (j, w) in writes.iter().enumerate() {
+    for (n, c) in (0..plan.nodes).zip(commits) {
+        for (j, w) in c.writes.iter().enumerate() {
             let slot_idx = w.offset / plan.record_bytes;
             let epoch = ((slot_idx - n as u64) / plan.nodes as u64) as u32 + 1;
             let full = plan.image(n, epoch).encode();
-            match on_media(j < syncs.len(), w, full)
+            match on_media(j < c.syncs.len(), w, full)
                 .map(|b| store.try_commit(&slots[n as usize], &b))
             {
                 Some(Ok(e)) => {
@@ -179,28 +211,29 @@ fn replay_commits(
 /// own cut-boundary sync completed (completed writes only — data still in
 /// flight at the crash never reached the trace, so this is a lower bound).
 pub fn lost_work_bytes(trace: &Trace, plan: &CheckpointPlan, units: &[u32], cut: u32) -> u64 {
-    let mut lost = 0u64;
-    for n in 0..plan.nodes {
-        let (_, syncs) = commit_events(trace, plan, n);
-        let eff = cut.min(final_boundary(units[n as usize], plan.interval));
-        let t_n = if eff == 0 {
-            0
-        } else {
-            syncs.get(eff as usize - 1).map(|s| s.end).unwrap_or(0)
-        };
-        lost += trace
-            .events()
-            .iter()
-            .filter(|e| {
-                e.node == n
-                    && e.op == IoOp::Write
-                    && plan.covered.contains(&e.file)
-                    && e.start >= t_n
-            })
-            .map(|e| e.bytes)
-            .sum::<u64>();
-    }
-    lost
+    // Each writer's cut instant first, then one pass over the trace.
+    let cut_at: Vec<u64> = commit_events(trace, plan)
+        .iter()
+        .enumerate()
+        .map(|(n, c)| {
+            let eff = cut.min(final_boundary(units[n], plan.interval));
+            if eff == 0 {
+                0
+            } else {
+                c.syncs.get(eff as usize - 1).map(|s| s.end).unwrap_or(0)
+            }
+        })
+        .collect();
+    trace
+        .events()
+        .iter()
+        .filter(|e| {
+            e.op == IoOp::Write
+                && cut_at.get(e.node as usize).is_some_and(|&t| e.start >= t)
+                && plan.covered.contains(&e.file)
+        })
+        .map(|e| e.bytes)
+        .sum()
 }
 
 /// One cell of the X5 recovery suite.
@@ -544,7 +577,124 @@ pub fn recover_suite_scenarios_jobs(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::burst::mean_commit_ns;
     use paragon_sim::MachineConfig;
+
+    /// The per-writer filter [`commit_events`] replaced: two full trace
+    /// scans per writer.
+    fn reference_commit_events<'a>(
+        trace: &'a Trace,
+        plan: &CheckpointPlan,
+        node: u32,
+    ) -> WriterCommits<'a> {
+        let mut writes: Vec<&IoEvent> = trace
+            .events()
+            .iter()
+            .filter(|e| e.file == plan.file && e.node == node && e.op == IoOp::Write)
+            .collect();
+        writes.sort_by_key(|e| (e.start, e.offset));
+        let mut syncs: Vec<&IoEvent> = trace
+            .events()
+            .iter()
+            .filter(|e| e.file == plan.file && e.node == node && e.op == IoOp::Flush)
+            .collect();
+        syncs.sort_by_key(|e| e.start);
+        WriterCommits { writes, syncs }
+    }
+
+    /// The per-writer [`lost_work_bytes`] it replaced.
+    fn reference_lost_work_bytes(
+        trace: &Trace,
+        plan: &CheckpointPlan,
+        units: &[u32],
+        cut: u32,
+    ) -> u64 {
+        let mut lost = 0u64;
+        for n in 0..plan.nodes {
+            let syncs = reference_commit_events(trace, plan, n).syncs;
+            let eff = cut.min(final_boundary(units[n as usize], plan.interval));
+            let t_n = if eff == 0 {
+                0
+            } else {
+                syncs.get(eff as usize - 1).map(|s| s.end).unwrap_or(0)
+            };
+            lost += trace
+                .events()
+                .iter()
+                .filter(|e| {
+                    e.node == n
+                        && e.op == IoOp::Write
+                        && plan.covered.contains(&e.file)
+                        && e.start >= t_n
+                })
+                .map(|e| e.bytes)
+                .sum::<u64>();
+        }
+        lost
+    }
+
+    #[test]
+    fn single_pass_commit_scan_matches_per_writer_filter() {
+        let machine = MachineConfig::tiny(4, 2);
+        let (escat, render, htf) = (
+            EscatParams::small(4, 6),
+            RenderParams::small(4, 3),
+            HtfParams::small(4),
+        );
+        let apps = CheckpointedApps {
+            escat: &escat,
+            render: &render,
+            htf: &htf,
+        };
+        for wname in WORKLOADS {
+            let cw = apps.build(wname, apps.interval(wname), 0);
+            let (plan, units) = (&cw.plan, apps.units(wname));
+            let healthy = run_checkpointed(&machine, &cw, &Backend::Pfs, None, None);
+            let wall = healthy.report.wall;
+            let mut runs = vec![(healthy.trace, wall)];
+            for crash in [SimTime(wall.nanos() / 2), SimTime(wall.nanos() / 10 * 9)] {
+                let crashed = run_checkpointed(&machine, &cw, &Backend::Pfs, None, Some(crash));
+                runs.push((crashed.trace, crash));
+            }
+            for (run, at) in runs {
+                // A non-writer's checkpoint-file commit and covered write
+                // must not count for any writer.
+                let mut events = run.events().to_vec();
+                let outsider = plan.nodes;
+                events.push(IoEvent::new(outsider, plan.file, IoOp::Write).span(0, 1));
+                events.push(IoEvent::new(outsider, plan.file, IoOp::Flush).span(1, 2));
+                if let Some(&file) = plan.covered.first() {
+                    events.push(IoEvent::new(outsider, file, IoOp::Write).extent(0, 64));
+                }
+                let trace = Trace::from_parts(run.meta().clone(), events);
+                let reference: Vec<WriterCommits> = (0..plan.nodes)
+                    .map(|n| reference_commit_events(&trace, plan, n))
+                    .collect();
+                let commits = commit_events(&trace, plan);
+                assert_eq!(commits, reference, "{wname}");
+                if at == wall {
+                    assert!(commits.iter().all(|c| !c.writes.is_empty()), "{wname}");
+                }
+
+                let cut = durable_cut(&trace, plan, &units, at);
+                assert_eq!(cut, synced_cut(&reference, plan, &units, at), "{wname}");
+                let logged = durable_cut_logged(&trace, plan, &units, at);
+                assert_eq!(logged, logged_cut(&reference, plan, &units, at), "{wname}");
+                for epoch in 0..=plan.epochs {
+                    assert_eq!(
+                        lost_work_bytes(&trace, plan, &units, epoch),
+                        reference_lost_work_bytes(&trace, plan, &units, epoch),
+                        "{wname} cut {epoch}"
+                    );
+                }
+                assert_eq!(
+                    mean_commit_ns(&commits).to_bits(),
+                    mean_commit_ns(&reference).to_bits(),
+                    "{wname}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn durable_cut_of_healthy_full_run_is_final_epoch() {

@@ -246,6 +246,9 @@ pub struct Blog<I> {
     drains: FastMap<IoToken, Drain>,
     read_waiters: Vec<Waiter>,
     sync_waiters: Vec<SyncParked>,
+    /// Scheduling buffer handed to the inner backend, reused across calls
+    /// (see `forward_filtered`).
+    inner_sched: Sched,
     /// First drain fault not yet surfaced through a `Sync`.
     sticky_fault: Option<IoFault>,
     next_timer: u64,
@@ -269,6 +272,7 @@ impl<I: DrainBackend> Blog<I> {
             drains: FastMap::default(),
             read_waiters: Vec::new(),
             sync_waiters: Vec::new(),
+            inner_sched: Sched::new(),
             sticky_fault: None,
             next_timer: 0,
             next_drain_token: 0,
@@ -315,12 +319,14 @@ impl<I: DrainBackend> Blog<I> {
         id
     }
 
-    /// Forward everything the inner backend scheduled, intercepting drain
-    /// completions: they carry synthetic tokens the engine never issued, so
-    /// they are re-armed as blog timers at their completion instant instead
-    /// of reaching the engine.
-    fn forward_filtered(&mut self, mut inner_sched: Sched, sched: &mut Sched) {
-        for (tok, at, res) in inner_sched.take_completions() {
+    /// Forward everything the inner backend scheduled into `inner_sched`,
+    /// intercepting drain completions: they carry synthetic tokens the
+    /// engine never issued, so they are re-armed as blog timers at their
+    /// completion instant instead of reaching the engine.
+    fn forward_filtered(&mut self, sched: &mut Sched) {
+        let mut inner_sched = std::mem::take(&mut self.inner_sched);
+        let (completions, timers) = inner_sched.drain();
+        for (tok, at, res) in completions {
             if tok >= DRAIN_TOKEN_BASE {
                 let id = self.arm(TimerEvent::InnerDone(tok, res));
                 sched.timer(at, id);
@@ -328,9 +334,10 @@ impl<I: DrainBackend> Blog<I> {
                 sched.complete_io(tok, at, res);
             }
         }
-        for (at, t) in inner_sched.take_timers() {
+        for (at, t) in timers {
             sched.timer(at, t);
         }
+        self.inner_sched = inner_sched;
     }
 
     /// Submit a request to the inner backend and filter its schedule.
@@ -343,10 +350,9 @@ impl<I: DrainBackend> Blog<I> {
         is_async: bool,
         sched: &mut Sched,
     ) {
-        let mut inner_sched = Sched::new();
         self.inner
-            .submit(node, now, req, token, is_async, &mut inner_sched);
-        self.forward_filtered(inner_sched, sched);
+            .submit(node, now, req, token, is_async, &mut self.inner_sched);
+        self.forward_filtered(sched);
     }
 
     /// Whether `file` has absorbed writes not yet drained into the inner
@@ -524,7 +530,6 @@ impl<I: DrainBackend> Blog<I> {
             .and_then(|n| n.draining)
             .expect("drain submit without in-flight drain");
         let d = *self.drains.get(&token).expect("known drain");
-        let mut inner_sched = Sched::new();
         self.inner.submit_drain(
             node,
             now,
@@ -532,9 +537,9 @@ impl<I: DrainBackend> Blog<I> {
             d.offset,
             d.bytes,
             token,
-            &mut inner_sched,
+            &mut self.inner_sched,
         );
-        self.forward_filtered(inner_sched, sched);
+        self.forward_filtered(sched);
     }
 
     /// A drain transfer completed in the inner backend.
@@ -732,16 +737,14 @@ impl<I: DrainBackend> IoService for Blog<I> {
                 TimerEvent::InnerDone(token, result) => self.inner_done(token, result, now, sched),
             }
         } else {
-            let mut inner_sched = Sched::new();
-            self.inner.on_timer(now, timer, &mut inner_sched);
-            self.forward_filtered(inner_sched, sched);
+            self.inner.on_timer(now, timer, &mut self.inner_sched);
+            self.forward_filtered(sched);
         }
     }
 
     fn on_start(&mut self, sched: &mut Sched) {
-        let mut inner_sched = Sched::new();
-        self.inner.on_start(&mut inner_sched);
-        self.forward_filtered(inner_sched, sched);
+        self.inner.on_start(&mut self.inner_sched);
+        self.forward_filtered(sched);
     }
 
     fn issue_cost(&self, node: NodeId, req: &IoRequest) -> SimDuration {

@@ -1,11 +1,11 @@
 //! Trace capture.
 //!
 //! [`TraceSink`] is the capture-side buffer for the simulated file systems:
-//! the service owns it outright and records one [`IoEvent`] per call into a
-//! per-node append buffer — no lock, no shared handle. Each record is stamped
-//! with a global sequence number, and [`TraceSink::finish`] merges the
-//! per-node buffers back into exact capture order, so the frozen trace is
-//! byte-identical to what the old single-buffer capture produced.
+//! the service owns it outright and appends one [`IoEvent`] per call to one
+//! capture-order buffer — no lock, no shared handle. One serial engine
+//! drives every service, so push order already is capture order, and
+//! [`TraceSink::finish`] moves the buffer into the frozen trace without a
+//! copy.
 //!
 //! [`Tracer`] is the legacy shared handle, kept for genuinely multi-threaded
 //! capture (the `std::fs` instrumentation shim): it is cheap to clone and
@@ -118,18 +118,14 @@ impl Trace {
     }
 }
 
-/// Owned, lock-free capture buffer for single-threaded (simulated) runs.
-///
-/// Events append to a per-node lane; a global sequence number preserves the
-/// exact interleaving across lanes. The hot path is one `Vec::push` — no
-/// lock, no refcount — and the drain path moves the buffers out instead of
-/// cloning them.
+/// Owned, lock-free capture buffer for single-threaded (simulated) runs:
+/// one `Vec` in capture order. The hot path is one `Vec::push` — no lock,
+/// no refcount — and [`TraceSink::finish`] moves the buffer out instead of
+/// copying it.
 #[derive(Debug, Default)]
 pub struct TraceSink {
     meta: TraceMeta,
-    /// Per-node append buffers of (global capture seq, event).
-    lanes: Vec<Vec<(u64, IoEvent)>>,
-    next_seq: u64,
+    events: Vec<IoEvent>,
 }
 
 impl TraceSink {
@@ -144,29 +140,24 @@ impl TraceSink {
         }
     }
 
-    /// Record one event into its node's lane.
+    /// Record one event.
     pub fn record(&mut self, event: IoEvent) {
-        let lane = event.node as usize;
-        if lane >= self.lanes.len() {
-            self.lanes.resize_with(lane + 1, Vec::new);
-        }
-        self.lanes[lane].push((self.next_seq, event));
-        self.next_seq += 1;
+        self.events.push(event);
     }
 
     /// Number of events captured so far.
     pub fn len(&self) -> usize {
-        self.next_seq as usize
+        self.events.len()
     }
 
     /// Whether nothing has been captured yet.
     pub fn is_empty(&self) -> bool {
-        self.next_seq == 0
+        self.events.is_empty()
     }
 
-    /// Approximate in-memory size of the captured events, in bytes.
+    /// In-memory size of the captured events, in bytes.
     pub fn buffered_bytes(&self) -> u64 {
-        self.next_seq * std::mem::size_of::<(u64, IoEvent)>() as u64
+        (self.events.len() * std::mem::size_of::<IoEvent>()) as u64
     }
 
     /// Set run-level metadata (node count, wall time).
@@ -175,26 +166,11 @@ impl TraceSink {
         self.meta.wall_ns = wall_ns;
     }
 
-    /// Freeze into an analyzable [`Trace`], merging the per-node lanes back
-    /// into capture order. Every sequence number in `0..next_seq` was issued
-    /// exactly once, so the merge is a linear scatter by sequence number —
-    /// deterministic regardless of how events spread across lanes.
+    /// Freeze into an analyzable [`Trace`].
     pub fn finish(self) -> Trace {
-        let total = self.next_seq as usize;
-        let mut slots: Vec<Option<IoEvent>> = vec![None; total];
-        for lane in self.lanes {
-            for (seq, ev) in lane {
-                debug_assert!(slots[seq as usize].is_none(), "duplicate capture seq");
-                slots[seq as usize] = Some(ev);
-            }
-        }
-        let events = slots
-            .into_iter()
-            .map(|s| s.expect("capture seq gap"))
-            .collect();
         Trace {
             meta: self.meta,
-            events,
+            events: self.events,
         }
     }
 }
@@ -289,9 +265,9 @@ mod tests {
     }
 
     #[test]
-    fn sink_preserves_capture_order_across_lanes() {
+    fn sink_preserves_capture_order_across_nodes() {
         // Interleave records from several nodes; the frozen trace must come
-        // back in exact capture order, not lane order.
+        // back in exact capture order, not grouped by node.
         let mut s = TraceSink::new("s");
         let mut expect = Vec::new();
         for i in 0..20u64 {

@@ -11,6 +11,19 @@
 //! The engine knows nothing about files, striping, or access modes: that is
 //! the service's business. The service knows nothing about blocking: that is
 //! the engine's.
+//!
+//! Two per-event costs are kept off the hot path:
+//!
+//! - **Same-instant FIFO.** An event scheduled for the current instant
+//!   (`at == now`: a zero-latency completion, the resume after a sync I/O,
+//!   a service timer due now) skips the `(time, seq)` heap and joins a
+//!   FIFO. Every heap entry due at `now` was pushed before the clock
+//!   reached `now`, so it carries a smaller `seq` than anything in the
+//!   FIFO: dispatching heap entries due now first, then the FIFO, is
+//!   exactly the `(time, seq)` order.
+//! - **One reusable [`Sched`].** The engine hands the service the same
+//!   scheduling buffer on every call and drains it in place, so a submit or
+//!   a timer allocates nothing once the buffer has grown.
 
 use crate::mesh::{CommCosts, Mesh};
 use crate::program::{GroupId, IoRequest, IoResult, IoToken, NodeProgram, Resume, Step};
@@ -19,6 +32,7 @@ use crate::NodeId;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
+use std::vec::Drain;
 
 /// The file-system side of the simulation.
 ///
@@ -71,10 +85,14 @@ pub trait IoService {
     }
 }
 
+/// One buffered I/O completion: the token, its completion instant and its
+/// result.
+type Completion = (IoToken, SimTime, IoResult);
+
 /// Buffered scheduling interface handed to the service.
 #[derive(Debug, Default)]
 pub struct Sched {
-    completions: Vec<(IoToken, SimTime, IoResult)>,
+    completions: Vec<Completion>,
     timers: Vec<(SimTime, u64)>,
 }
 
@@ -106,6 +124,13 @@ impl Sched {
     /// Drain the buffered timers (wrapper-service filtering hook).
     pub fn take_timers(&mut self) -> Vec<(SimTime, u64)> {
         std::mem::take(&mut self.timers)
+    }
+
+    /// Drain the buffered completions and timers in place, keeping both
+    /// buffers' capacity, so a `Sched` reused across calls stops
+    /// allocating once it has grown.
+    pub fn drain(&mut self) -> (Drain<'_, Completion>, Drain<'_, (SimTime, u64)>) {
+        (self.completions.drain(..), self.timers.drain(..))
     }
 }
 
@@ -184,7 +209,7 @@ type ChanIndex = HashMap<u64, u32, BuildHasherDefault<ChanHash>>;
 pub struct EnginePerf {
     /// Total events processed.
     pub events: u64,
-    /// Peak size of the event heap.
+    /// Peak number of pending events (heap plus same-instant FIFO).
     pub heap_peak: u64,
     /// Peak number of buffered (sent, not yet received) eager messages.
     pub channel_peak: u64,
@@ -214,7 +239,7 @@ pub enum HangReason {
 /// Typed diagnosis of a stuck run, produced when the liveness watchdog
 /// (see [`Engine::set_watchdog`]) distinguishes "stuck" from "finished":
 /// which nodes are parked, which I/O requests never completed, and how many
-/// service timers were abandoned in the heap.
+/// service timers were abandoned in the event queue.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HangReport {
     /// Simulated time at which the hang was declared.
@@ -225,7 +250,7 @@ pub struct HangReport {
     pub parked_nodes: Vec<NodeId>,
     /// I/O tokens still in flight (issued but never completed).
     pub pending_requests: Vec<IoToken>,
-    /// Service timers abandoned unprocessed in the event heap.
+    /// Service timers abandoned unprocessed in the event queue.
     pub killed_timers: u64,
 }
 
@@ -263,7 +288,9 @@ const MAX_EVENTS: u64 = 2_000_000_000;
 /// per-receiver channel tables, barrier/broadcast state in vectors indexed by
 /// group id, and I/O token state in a sliding window keyed by the token's
 /// offset from the oldest live token. The only ordering authority is the
-/// `(time, seq)` pair in the heap, so none of this affects event order.
+/// `(time, seq)` pair of each event — in the heap, or implied by the
+/// same-instant FIFO (see the module docs) — so none of this affects event
+/// order.
 pub struct Engine<S: IoService> {
     now: SimTime,
     seq: u64,
@@ -271,6 +298,10 @@ pub struct Engine<S: IoService> {
     /// Event payload slab; the heap entry carries the slot index.
     slab: Vec<Ev>,
     free: Vec<u32>,
+    /// Events due at `now`, in `seq` order, that bypass the heap.
+    ready: VecDeque<(u64, Ev)>,
+    /// The one scheduling buffer handed to the service, drained in place.
+    sched: Sched,
     programs: Vec<Box<dyn NodeProgram>>,
     done: Vec<bool>,
     service: S,
@@ -297,6 +328,9 @@ pub struct Engine<S: IoService> {
     /// Liveness-watchdog deadline: a run whose simulated time crosses this
     /// with programs unfinished is declared stuck (see [`HangReport`]).
     watchdog: Option<SimTime>,
+    /// `(time, seq)` of every dispatched event, in dispatch order.
+    #[cfg(test)]
+    dispatched: Vec<(SimTime, u64)>,
 }
 
 impl<S: IoService> Engine<S> {
@@ -330,6 +364,8 @@ impl<S: IoService> Engine<S> {
             heap: BinaryHeap::with_capacity(cap),
             slab: Vec::with_capacity(cap),
             free: Vec::with_capacity(cap),
+            ready: VecDeque::with_capacity(cap),
+            sched: Sched::default(),
             programs,
             done,
             service,
@@ -348,6 +384,8 @@ impl<S: IoService> Engine<S> {
             channel_buffered: 0,
             channel_peak: 0,
             watchdog: None,
+            #[cfg(test)]
+            dispatched: Vec::new(),
         }
     }
 
@@ -400,6 +438,11 @@ impl<S: IoService> Engine<S> {
         debug_assert!(at >= self.now, "scheduling into the past");
         let seq = self.seq;
         self.seq += 1;
+        if at == self.now {
+            self.ready.push_back((seq, ev));
+            self.heap_peak = self.heap_peak.max(self.heap.len() + self.ready.len());
+            return;
+        }
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.slab[slot as usize] = ev;
@@ -415,7 +458,18 @@ impl<S: IoService> Engine<S> {
         };
         // The slot index never breaks a tie: `seq` is globally unique.
         self.heap.push(Reverse((at, seq, slot)));
-        self.heap_peak = self.heap_peak.max(self.heap.len());
+        self.heap_peak = self.heap_peak.max(self.heap.len() + self.ready.len());
+    }
+
+    /// Time of the next event in `(time, seq)` order, and whether it is the
+    /// heap's top (otherwise the FIFO's front). Heap entries due at `now`
+    /// go first: they were pushed before the clock reached `now`.
+    fn next_due(&self) -> Option<(SimTime, bool)> {
+        match self.heap.peek() {
+            Some(&Reverse((t, ..))) if t == self.now || self.ready.is_empty() => Some((t, true)),
+            _ if !self.ready.is_empty() => Some((self.now, false)),
+            _ => None,
+        }
     }
 
     /// Find (or create) the channel carrying messages `from -> to` under
@@ -454,17 +508,20 @@ impl<S: IoService> Engine<S> {
         }
     }
 
-    /// Drain buffered scheduling into the heap; returns whether anything
-    /// was scheduled (a no-effect timer should not extend the reported
-    /// wall time).
-    fn drain_sched(&mut self, sched: Sched) -> bool {
-        let any = !sched.completions.is_empty() || !sched.timers.is_empty();
-        for (token, at, result) in sched.completions {
+    /// Drain the service's buffered scheduling into the event queue;
+    /// returns whether anything was scheduled (a no-effect timer should not
+    /// extend the reported wall time).
+    fn drain_sched(&mut self) -> bool {
+        let mut sched = std::mem::take(&mut self.sched);
+        let (completions, timers) = sched.drain();
+        let any = completions.len() + timers.len() > 0;
+        for (token, at, result) in completions {
             self.push(at.max(self.now), Ev::IoComplete(token, result));
         }
-        for (at, timer) in sched.timers {
+        for (at, timer) in timers {
             self.push(at.max(self.now), Ev::ServiceTimer(timer));
         }
+        self.sched = sched;
         any
     }
 
@@ -480,9 +537,8 @@ impl<S: IoService> Engine<S> {
     /// `blocked` list names the nodes that died mid-program. A `stop` of
     /// `SimTime(u64::MAX)` is an ordinary full run.
     pub fn run_until(&mut self, stop: SimTime) -> EngineReport {
-        let mut sched = Sched::default();
-        self.service.on_start(&mut sched);
-        self.drain_sched(sched);
+        self.service.on_start(&mut self.sched);
+        self.drain_sched();
         for node in 0..self.programs.len() as NodeId {
             self.push(SimTime::ZERO, Ev::Resume(node, Resume::Start));
         }
@@ -491,7 +547,7 @@ impl<S: IoService> Engine<S> {
         // nothing left to flush).
         let mut wall = SimTime::ZERO;
         let mut hang: Option<HangReport> = None;
-        while let Some(&Reverse((t, _, _))) = self.heap.peek() {
+        while let Some((t, from_heap)) = self.next_due() {
             if t > stop {
                 break;
             }
@@ -501,9 +557,15 @@ impl<S: IoService> Engine<S> {
                     break;
                 }
             }
-            let Reverse((t, _seq, slot)) = self.heap.pop().expect("peeked event vanished");
-            let ev = self.slab[slot as usize];
-            self.free.push(slot);
+            let (_seq, ev) = if from_heap {
+                let Reverse((_, seq, slot)) = self.heap.pop().expect("peeked event vanished");
+                self.free.push(slot);
+                (seq, self.slab[slot as usize])
+            } else {
+                self.ready.pop_front().expect("peeked event vanished")
+            };
+            #[cfg(test)]
+            self.dispatched.push((t, _seq));
             debug_assert!(t >= self.now, "time went backwards");
             self.now = t;
             self.events_processed += 1;
@@ -521,9 +583,8 @@ impl<S: IoService> Engine<S> {
                     wall = self.now;
                 }
                 Ev::ServiceTimer(timer) => {
-                    let mut sched = Sched::default();
-                    self.service.on_timer(self.now, timer, &mut sched);
-                    if self.drain_sched(sched) {
+                    self.service.on_timer(self.now, timer, &mut self.sched);
+                    if self.drain_sched() {
                         wall = self.now;
                     }
                 }
@@ -533,10 +594,14 @@ impl<S: IoService> Engine<S> {
         let blocked: Vec<NodeId> = (0..self.programs.len() as NodeId)
             .filter(|&n| !self.done[n as usize])
             .collect();
-        // Quiescence check: the heap drained (nothing was abandoned past a
-        // crash cut or a tripped deadline) yet programs never finished —
-        // that is "stuck", not "finished".
-        if hang.is_none() && self.watchdog.is_some() && self.heap.is_empty() && !blocked.is_empty()
+        // Quiescence check: the event queue drained (nothing was abandoned
+        // past a crash cut or a tripped deadline) yet programs never
+        // finished — that is "stuck", not "finished".
+        if hang.is_none()
+            && self.watchdog.is_some()
+            && self.heap.is_empty()
+            && self.ready.is_empty()
+            && !blocked.is_empty()
         {
             hang = Some(self.hang_report(self.now, HangReason::Exhausted));
         }
@@ -568,12 +633,13 @@ impl<S: IoService> Engine<S> {
                 _ => None,
             })
             .collect();
-        let killed_timers = self
+        let queued = self
             .heap
             .iter()
-            .filter(|Reverse((_, _, slot))| {
-                matches!(self.slab[*slot as usize], Ev::ServiceTimer(_))
-            })
+            .map(|Reverse((_, _, slot))| &self.slab[*slot as usize])
+            .chain(self.ready.iter().map(|(_, ev)| ev));
+        let killed_timers = queued
+            .filter(|ev| matches!(ev, Ev::ServiceTimer(_)))
             .count() as u64;
         HangReport {
             at,
@@ -596,18 +662,16 @@ impl<S: IoService> Engine<S> {
             }
             Step::Io(req) => {
                 let token = self.token_insert(TokenState::Sync(node, req.file));
-                let mut sched = Sched::default();
                 self.service
-                    .submit(node, self.now, req, token, false, &mut sched);
-                let _ = self.drain_sched(sched);
+                    .submit(node, self.now, req, token, false, &mut self.sched);
+                let _ = self.drain_sched();
             }
             Step::IoAsync(req) => {
                 let token = self.token_insert(TokenState::AsyncPending(node, req.file));
                 let issue = self.service.issue_cost(node, &req);
-                let mut sched = Sched::default();
                 self.service
-                    .submit(node, self.now, req, token, true, &mut sched);
-                let _ = self.drain_sched(sched);
+                    .submit(node, self.now, req, token, true, &mut self.sched);
+                let _ = self.drain_sched();
                 let at = self.now + issue;
                 self.push(at, Ev::Resume(node, Resume::IoIssued(token)));
             }
@@ -1065,6 +1129,131 @@ mod tests {
         let rb = b.run();
         assert_eq!(ra, rb);
         assert_eq!(a.service().submitted, b.service().submitted);
+    }
+
+    /// Completes every request at the instant it is submitted and arms a
+    /// timer for that same instant; the standing timer armed at start
+    /// re-arms one more for its own instant. Logs what it sees in order.
+    struct SameInstantService {
+        at: SimTime,
+        next_timer: u64,
+        log: Vec<(SimTime, &'static str, u64)>,
+    }
+
+    impl IoService for SameInstantService {
+        fn submit(
+            &mut self,
+            node: NodeId,
+            now: SimTime,
+            req: IoRequest,
+            token: IoToken,
+            _is_async: bool,
+            sched: &mut Sched,
+        ) {
+            self.log.push((now, "submit", node as u64));
+            let result = IoResult {
+                bytes: req.bytes,
+                queued: SimDuration::ZERO,
+                service: SimDuration::ZERO,
+                fault: None,
+            };
+            sched.complete_io(token, now, result);
+            self.next_timer += 1;
+            sched.timer(now, self.next_timer);
+        }
+
+        fn on_timer(&mut self, now: SimTime, timer: u64, sched: &mut Sched) {
+            self.log.push((now, "timer", timer));
+            if timer == 0 {
+                self.next_timer += 1;
+                sched.timer(now, self.next_timer);
+            }
+        }
+
+        fn on_start(&mut self, sched: &mut Sched) {
+            sched.timer(self.at, 0);
+        }
+    }
+
+    #[test]
+    fn dispatch_order_is_time_then_seq() {
+        // Heap events due at T (the start timer and three compute resumes)
+        // meet completions, timers and zero-delay resumes scheduled at T
+        // during T, then one later event.
+        let t = SimTime(0) + SimDuration::from_millis(1);
+        let ops = |tail: Vec<ScriptOp>| {
+            let mut ops = vec![ScriptOp::Compute(SimDuration::from_millis(1))];
+            ops.extend(tail);
+            Box::new(ScriptProgram::new(ops)) as Box<dyn NodeProgram>
+        };
+        let programs = vec![
+            ops(vec![
+                ScriptOp::Io(IoRequest::read(1, 8)),
+                ScriptOp::Compute(SimDuration::from_millis(1)),
+            ]),
+            ops(vec![
+                ScriptOp::IoAsync(IoRequest::read(1, 8)),
+                ScriptOp::WaitOldest,
+            ]),
+            ops(vec![ScriptOp::Io(IoRequest::write(2, 8))]),
+        ];
+        let service = SameInstantService {
+            at: t,
+            next_timer: 0,
+            log: Vec::new(),
+        };
+        let mut e = Engine::new(
+            Mesh::for_nodes(3, 1),
+            CommCosts::default(),
+            programs,
+            service,
+        );
+        let report = e.run();
+        assert!(report.clean());
+        assert_eq!(report.wall, t + SimDuration::from_millis(1));
+
+        let mut sorted = e.dispatched.clone();
+        sorted.sort();
+        assert_eq!(e.dispatched, sorted, "dispatch order is (time, seq) order");
+        sorted.dedup_by_key(|&mut (_, seq)| seq);
+        assert_eq!(
+            sorted.len(),
+            e.dispatched.len(),
+            "every seq dispatched once"
+        );
+        assert_eq!(e.dispatched.len() as u64, report.events);
+        let at_t = e.dispatched.iter().filter(|(time, _)| *time == t).count();
+        assert!(at_t > 4, "same-instant events were scheduled at T");
+
+        // Everything due at T before the clock reached T (the start timer,
+        // then the three resumes) runs before anything scheduled during T.
+        let seen: Vec<(&str, u64)> = e.service().log.iter().map(|&(_, k, id)| (k, id)).collect();
+        assert_eq!(
+            seen,
+            vec![
+                ("timer", 0),
+                ("submit", 0),
+                ("submit", 1),
+                ("submit", 2),
+                ("timer", 1),
+                ("timer", 2),
+                ("timer", 3),
+                ("timer", 4),
+            ]
+        );
+        assert!(e.service().log.iter().all(|&(now, ..)| now == t));
+    }
+
+    #[test]
+    fn hang_report_counts_timers_in_both_queues() {
+        let mut e = engine_for(vec![vec![]]);
+        e.push(SimTime(0), Ev::ServiceTimer(1));
+        e.push(SimTime(5), Ev::ServiceTimer(2));
+        e.push(SimTime(0), Ev::Resume(0, Resume::Start));
+        assert_eq!((e.heap.len(), e.ready.len()), (1, 2));
+        let hang = e.hang_report(SimTime(0), HangReason::Exhausted);
+        assert_eq!(hang.killed_timers, 2, "the FIFO's timer counts too");
+        assert_eq!(e.perf().heap_peak, 3, "peak counts heap plus FIFO");
     }
 
     /// A service that never completes requests and keeps re-arming a timer:

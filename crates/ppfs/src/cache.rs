@@ -15,7 +15,8 @@ use crate::policy::Eviction;
 use paragon_sim::SimTime;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, HashMap};
+use sio_core::hash::FastMap;
+use std::collections::BTreeMap;
 
 /// Cache block key: (file id, block index).
 pub type BlockKey = (u32, u64);
@@ -40,7 +41,8 @@ struct Entry {
 pub struct BlockCache {
     capacity: usize,
     eviction: Eviction,
-    entries: HashMap<BlockKey, Entry>,
+    /// Probed by key only, never iterated: victim search walks `order`.
+    entries: FastMap<BlockKey, Entry>,
     /// Recency index: tick -> key (ticks are unique).
     order: BTreeMap<u64, BlockKey>,
     tick: u64,
@@ -57,7 +59,7 @@ impl BlockCache {
         BlockCache {
             capacity: capacity as usize,
             eviction,
-            entries: HashMap::with_capacity(capacity as usize + 1),
+            entries: FastMap::with_capacity_and_hasher(capacity as usize + 1, Default::default()),
             order: BTreeMap::new(),
             tick: 0,
             rng: StdRng::seed_from_u64(seed),
