@@ -796,10 +796,10 @@ pub fn raid_degraded_jobs(machine: &MachineConfig, jobs: usize) -> Vec<RaidRow> 
                     .expect("first failure on a healthy array");
             }
         }
-        let programs: Vec<Box<dyn NodeProgram>> = w
+        let programs: Vec<Box<dyn NodeProgram + '_>> = w
             .scripts
             .iter()
-            .map(|s| Box::new(ScriptProgram::new(s.clone())) as Box<dyn NodeProgram>)
+            .map(|s| Box::new(ScriptProgram::new(s.as_slice())) as Box<dyn NodeProgram + '_>)
             .collect();
         let mut engine = Engine::new(
             Mesh::for_nodes(machine.compute_nodes, machine.io_nodes),

@@ -49,23 +49,20 @@ impl Figure {
 
     /// CSV body for the figure.
     pub fn to_csv(&self) -> String {
+        use std::fmt::Write as _;
         let mut out = String::new();
         match self {
             Figure::OpTimeline { points, .. } => {
                 out.push_str("t_secs,bytes,node\n");
                 for p in points {
-                    out.push_str(&format!("{:.6},{},{}\n", p.t_secs, p.bytes, p.node));
+                    let _ = writeln!(out, "{:.6},{},{}", p.t_secs, p.bytes, p.node);
                 }
             }
             Figure::FileTimeline { marks, .. } => {
                 out.push_str("t_secs,file,op\n");
                 for m in marks {
-                    out.push_str(&format!(
-                        "{:.6},{},{}\n",
-                        m.t_secs,
-                        m.file,
-                        if m.write { "W" } else { "R" }
-                    ));
+                    let op = if m.write { "W" } else { "R" };
+                    let _ = writeln!(out, "{:.6},{},{}", m.t_secs, m.file, op);
                 }
             }
         }

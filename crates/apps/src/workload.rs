@@ -94,10 +94,11 @@ fn run_engine<S: IoService>(
         workload.scripts.len(),
         machine.compute_nodes
     );
-    let programs: Vec<Box<dyn NodeProgram>> = workload
+    // The programs replay the workload's scripts in place: no per-run copy.
+    let programs: Vec<Box<dyn NodeProgram + '_>> = workload
         .scripts
         .iter()
-        .map(|s| Box::new(ScriptProgram::new(s.clone())) as Box<dyn NodeProgram>)
+        .map(|s| Box::new(ScriptProgram::new(s.as_slice())) as Box<dyn NodeProgram + '_>)
         .collect();
     let mesh = Mesh::for_nodes(machine.compute_nodes, machine.io_nodes);
     let mut engine = Engine::new(mesh, machine.comm, programs, service);
@@ -126,8 +127,14 @@ fn run_engine<S: IoService>(
 
 /// Publish one run's hot-path totals to the global perf aggregate (a no-op
 /// unless collection was enabled, e.g. by `repro --perf`).
-fn submit_perf(engine_perf: EnginePerf, sink: &TraceSink, blog: Option<BlogStats>) {
+fn submit_perf(
+    workload: &Workload,
+    engine_perf: EnginePerf,
+    sink: &TraceSink,
+    blog: Option<BlogStats>,
+) {
     perf::submit(perf::RunPerf {
+        script_ops: workload.scripts.iter().map(|s| s.len() as u64).sum(),
         events: engine_perf.events,
         heap_peak: engine_perf.heap_peak,
         channel_peak: engine_perf.channel_peak,
@@ -185,7 +192,7 @@ pub fn run_workload_crashable(
     let (report, mut fs, engine_perf) = run_engine(machine, workload, fs, stop_at);
     let blog = fs.blog_stats();
     fs.sink_mut().set_run_info(nodes, report.wall.nanos());
-    submit_perf(engine_perf, fs.sink_mut(), blog);
+    submit_perf(workload, engine_perf, fs.sink_mut(), blog);
     let ppfs_stats = fs.ppfs_stats();
     let pfs_faults = fs.pfs_fault_stats();
     let rebuild = fs.rebuild_totals();

@@ -786,7 +786,7 @@ mod tests {
         machine: &MachineConfig,
         files: Vec<FileSpec>,
         scripts: Vec<Vec<ScriptOp>>,
-    ) -> (Engine<FsShell<Cio>>, paragon_sim::EngineReport) {
+    ) -> (Engine<'static, FsShell<Cio>>, paragon_sim::EngineReport) {
         let mut cio = FsShell::new(
             machine,
             TraceSink::new("test"),

@@ -22,6 +22,7 @@ use std::time::Instant;
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
 static RUNS: AtomicU64 = AtomicU64::new(0);
+static SCRIPT_OPS: AtomicU64 = AtomicU64::new(0);
 static EVENTS: AtomicU64 = AtomicU64::new(0);
 static HEAP_PEAK: AtomicU64 = AtomicU64::new(0);
 static CHANNEL_PEAK: AtomicU64 = AtomicU64::new(0);
@@ -50,6 +51,9 @@ pub fn enabled() -> bool {
 /// Hot-path totals for one simulated run, submitted once at run end.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct RunPerf {
+    /// Script operations the workload's node programs replay (the sum of
+    /// its script lengths).
+    pub script_ops: u64,
     /// Events the engine processed.
     pub events: u64,
     /// Peak event-heap size.
@@ -73,6 +77,7 @@ pub fn submit(run: RunPerf) {
         return;
     }
     RUNS.fetch_add(1, Ordering::Relaxed);
+    SCRIPT_OPS.fetch_add(run.script_ops, Ordering::Relaxed);
     EVENTS.fetch_add(run.events, Ordering::Relaxed);
     HEAP_PEAK.fetch_max(run.heap_peak, Ordering::Relaxed);
     CHANNEL_PEAK.fetch_max(run.channel_peak, Ordering::Relaxed);
@@ -114,6 +119,8 @@ impl Drop for PhaseGuard {
 pub struct PerfSnapshot {
     /// Simulated runs submitted.
     pub runs: u64,
+    /// Script operations across all runs.
+    pub script_ops: u64,
     /// Engine events across all runs.
     pub events: u64,
     /// Max event-heap size across all runs.
@@ -136,9 +143,10 @@ impl PerfSnapshot {
     /// The deterministic part of the snapshot: everything except host wall
     /// times. Two sweeps of the same work must agree on this exactly,
     /// whatever the worker count.
-    pub fn counters(&self) -> (u64, u64, u64, u64, u64, u64, u64, u64) {
+    pub fn counters(&self) -> (u64, u64, u64, u64, u64, u64, u64, u64, u64) {
         (
             self.runs,
+            self.script_ops,
             self.events,
             self.heap_peak,
             self.channel_peak,
@@ -154,6 +162,7 @@ impl PerfSnapshot {
         let mut out = String::new();
         out.push_str("== perf counters ==\n");
         out.push_str(&format!("{:<24} {}\n", "simulated runs", self.runs));
+        out.push_str(&format!("{:<24} {}\n", "script ops", self.script_ops));
         out.push_str(&format!("{:<24} {}\n", "engine events", self.events));
         out.push_str(&format!("{:<24} {}\n", "event heap peak", self.heap_peak));
         out.push_str(&format!(
@@ -192,6 +201,7 @@ pub fn snapshot() -> PerfSnapshot {
     phases.sort();
     PerfSnapshot {
         runs: RUNS.load(Ordering::Relaxed),
+        script_ops: SCRIPT_OPS.load(Ordering::Relaxed),
         events: EVENTS.load(Ordering::Relaxed),
         heap_peak: HEAP_PEAK.load(Ordering::Relaxed),
         channel_peak: CHANNEL_PEAK.load(Ordering::Relaxed),
@@ -206,6 +216,7 @@ pub fn snapshot() -> PerfSnapshot {
 /// Zero every counter and drop recorded phases (collection state is kept).
 pub fn reset() {
     RUNS.store(0, Ordering::SeqCst);
+    SCRIPT_OPS.store(0, Ordering::SeqCst);
     EVENTS.store(0, Ordering::SeqCst);
     HEAP_PEAK.store(0, Ordering::SeqCst);
     CHANNEL_PEAK.store(0, Ordering::SeqCst);
@@ -235,6 +246,7 @@ mod tests {
 
         enable();
         submit(RunPerf {
+            script_ops: 7,
             events: 10,
             heap_peak: 4,
             channel_peak: 2,
@@ -244,6 +256,7 @@ mod tests {
             log_stall_ns: 400,
         });
         submit(RunPerf {
+            script_ops: 6,
             events: 5,
             heap_peak: 9,
             channel_peak: 1,
@@ -260,11 +273,12 @@ mod tests {
         }
         let snap = snapshot();
         // Sums for additive counters, maxima for the peaks.
-        assert_eq!(snap.counters(), (2, 15, 9, 2, 5, 160, 70, 500));
+        assert_eq!(snap.counters(), (2, 13, 15, 9, 2, 5, 160, 70, 500));
         assert_eq!(snap.phases.len(), 1, "same-name phases merge");
         assert_eq!(snap.phases[0].0, "demo");
         let text = snap.render();
         assert!(text.contains("engine events"));
+        assert!(text.contains("script ops"));
         assert!(text.contains("15"));
         assert!(text.contains("demo"));
 

@@ -12,7 +12,7 @@
 //! the service's business. The service knows nothing about blocking: that is
 //! the engine's.
 //!
-//! Two per-event costs are kept off the hot path:
+//! The engine keeps its per-event host cost and its footprint small:
 //!
 //! - **Same-instant FIFO.** An event scheduled for the current instant
 //!   (`at == now`: a zero-latency completion, the resume after a sync I/O,
@@ -24,6 +24,14 @@
 //! - **One reusable [`Sched`].** The engine hands the service the same
 //!   scheduling buffer on every call and drains it in place, so a submit or
 //!   a timer allocates nothing once the buffer has grown.
+//! - **One packed heap key.** A heap entry is a single 16-byte `u128`,
+//!   `time << 64 | seq << 32 | slot`. `seq` is unique, so integer order on
+//!   the key is exactly `(time, seq)` order; the payload's slab slot rides
+//!   in the low bits and never breaks a tie.
+//! - **In-place script replay.** Node programs may borrow for the engine's
+//!   lifetime `'p`, so a [`crate::program::ScriptProgram`] over a slice
+//!   replays a workload's scripts where they already live instead of each
+//!   run copying them.
 
 use crate::mesh::{CommCosts, Mesh};
 use crate::program::{GroupId, IoRequest, IoResult, IoToken, NodeProgram, Resume, Step};
@@ -278,23 +286,43 @@ impl EngineReport {
     }
 }
 
-/// Hard safety limit on processed events (runaway-program backstop).
+/// Hard safety limit on processed events (runaway-program backstop). It
+/// also keeps every run's event sequence numbers well below 2³², the width
+/// they get in a packed heap key.
 const MAX_EVENTS: u64 = 2_000_000_000;
+
+/// Pack a heap entry into one key whose integer order is `(time, seq, slot)`
+/// order. Panics if `seq` does not fit in 32 bits.
+fn pack_key(at: SimTime, seq: u64, slot: u32) -> u128 {
+    let seq = u32::try_from(seq).expect("event sequence number exceeds u32 in a packed heap key");
+    (at.0 as u128) << 64 | (seq as u128) << 32 | slot as u128
+}
+
+/// The time of a packed heap key.
+fn key_time(key: u128) -> SimTime {
+    SimTime((key >> 64) as u64)
+}
+
+/// The `(seq, slot)` of a packed heap key.
+fn key_seq_slot(key: u128) -> (u64, u32) {
+    ((key >> 32) as u32 as u64, key as u32)
+}
 
 /// The discrete-event engine.
 ///
 /// All hot-path state is dense and index-addressed: event payloads live in a
-/// slab whose slot index rides along in the heap entry, eager messages in
+/// slab whose slot index rides along in the packed heap key, eager messages in
 /// per-receiver channel tables, barrier/broadcast state in vectors indexed by
 /// group id, and I/O token state in a sliding window keyed by the token's
 /// offset from the oldest live token. The only ordering authority is the
 /// `(time, seq)` pair of each event — in the heap, or implied by the
 /// same-instant FIFO (see the module docs) — so none of this affects event
 /// order.
-pub struct Engine<S: IoService> {
+pub struct Engine<'p, S: IoService> {
     now: SimTime,
     seq: u64,
-    heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
+    /// Packed `(time, seq, slot)` keys (see [`pack_key`]).
+    heap: BinaryHeap<Reverse<u128>>,
     /// Event payload slab; the heap entry carries the slot index.
     slab: Vec<Ev>,
     free: Vec<u32>,
@@ -302,7 +330,7 @@ pub struct Engine<S: IoService> {
     ready: VecDeque<(u64, Ev)>,
     /// The one scheduling buffer handed to the service, drained in place.
     sched: Sched,
-    programs: Vec<Box<dyn NodeProgram>>,
+    programs: Vec<Box<dyn NodeProgram + 'p>>,
     done: Vec<bool>,
     service: S,
     mesh: Mesh,
@@ -333,16 +361,17 @@ pub struct Engine<S: IoService> {
     dispatched: Vec<(SimTime, u64)>,
 }
 
-impl<S: IoService> Engine<S> {
+impl<'p, S: IoService> Engine<'p, S> {
     /// Build an engine over `programs` (node `i` runs `programs[i]`) with the
     /// given mesh/interconnect parameters and file-system service. Group 0 is
-    /// pre-registered as "all nodes".
+    /// pre-registered as "all nodes". The programs may borrow data (e.g. a
+    /// script slice) that outlives the engine.
     pub fn new(
         mesh: Mesh,
         comm: CommCosts,
-        programs: Vec<Box<dyn NodeProgram>>,
+        programs: Vec<Box<dyn NodeProgram + 'p>>,
         service: S,
-    ) -> Engine<S> {
+    ) -> Engine<'p, S> {
         assert!(
             programs.len() as u32 <= mesh.compute_nodes,
             "more programs than compute nodes"
@@ -457,7 +486,7 @@ impl<S: IoService> Engine<S> {
             }
         };
         // The slot index never breaks a tie: `seq` is globally unique.
-        self.heap.push(Reverse((at, seq, slot)));
+        self.heap.push(Reverse(pack_key(at, seq, slot)));
         self.heap_peak = self.heap_peak.max(self.heap.len() + self.ready.len());
     }
 
@@ -466,7 +495,9 @@ impl<S: IoService> Engine<S> {
     /// go first: they were pushed before the clock reached `now`.
     fn next_due(&self) -> Option<(SimTime, bool)> {
         match self.heap.peek() {
-            Some(&Reverse((t, ..))) if t == self.now || self.ready.is_empty() => Some((t, true)),
+            Some(&Reverse(key)) if key_time(key) == self.now || self.ready.is_empty() => {
+                Some((key_time(key), true))
+            }
             _ if !self.ready.is_empty() => Some((self.now, false)),
             _ => None,
         }
@@ -512,16 +543,17 @@ impl<S: IoService> Engine<S> {
     /// returns whether anything was scheduled (a no-effect timer should not
     /// extend the reported wall time).
     fn drain_sched(&mut self) -> bool {
-        let mut sched = std::mem::take(&mut self.sched);
-        let (completions, timers) = sched.drain();
-        let any = completions.len() + timers.len() > 0;
-        for (token, at, result) in completions {
+        let any = !self.sched.completions.is_empty() || !self.sched.timers.is_empty();
+        for i in 0..self.sched.completions.len() {
+            let (token, at, result) = self.sched.completions[i];
             self.push(at.max(self.now), Ev::IoComplete(token, result));
         }
-        for (at, timer) in timers {
+        self.sched.completions.clear();
+        for i in 0..self.sched.timers.len() {
+            let (at, timer) = self.sched.timers[i];
             self.push(at.max(self.now), Ev::ServiceTimer(timer));
         }
-        self.sched = sched;
+        self.sched.timers.clear();
         any
     }
 
@@ -558,7 +590,8 @@ impl<S: IoService> Engine<S> {
                 }
             }
             let (_seq, ev) = if from_heap {
-                let Reverse((_, seq, slot)) = self.heap.pop().expect("peeked event vanished");
+                let Reverse(key) = self.heap.pop().expect("peeked event vanished");
+                let (seq, slot) = key_seq_slot(key);
                 self.free.push(slot);
                 (seq, self.slab[slot as usize])
             } else {
@@ -636,7 +669,7 @@ impl<S: IoService> Engine<S> {
         let queued = self
             .heap
             .iter()
-            .map(|Reverse((_, _, slot))| &self.slab[*slot as usize])
+            .map(|&Reverse(key)| &self.slab[key_seq_slot(key).1 as usize])
             .chain(self.ready.iter().map(|(_, ev)| ev));
         let killed_timers = queued
             .filter(|ev| matches!(ev, Ev::ServiceTimer(_)))
@@ -854,7 +887,7 @@ mod tests {
         }
     }
 
-    fn engine_for(progs: Vec<Vec<ScriptOp>>) -> Engine<FixedService> {
+    fn engine_for(progs: Vec<Vec<ScriptOp>>) -> Engine<'static, FixedService> {
         let n = progs.len() as u32;
         let mesh = Mesh::for_nodes(n.max(2), 1);
         let programs: Vec<Box<dyn NodeProgram>> = progs
@@ -1254,6 +1287,40 @@ mod tests {
         let hang = e.hang_report(SimTime(0), HangReason::Exhausted);
         assert_eq!(hang.killed_timers, 2, "the FIFO's timer counts too");
         assert_eq!(e.perf().heap_peak, 3, "peak counts heap plus FIFO");
+    }
+
+    #[test]
+    fn packed_key_order_is_time_then_seq() {
+        let times = [0, 1, u64::MAX - 1, u64::MAX];
+        let seqs = [0, 1, u32::MAX as u64 - 1, u32::MAX as u64];
+        let slots = [0, 1, u32::MAX];
+        let mut entries = Vec::new();
+        for &t in &times {
+            for &seq in &seqs {
+                for &slot in &slots {
+                    entries.push((SimTime(t), seq, slot));
+                }
+            }
+        }
+        for &a in &entries {
+            let ka = pack_key(a.0, a.1, a.2);
+            assert_eq!(key_time(ka), a.0, "time round-trips");
+            assert_eq!(key_seq_slot(ka), (a.1, a.2), "(seq, slot) round-trips");
+            for &b in &entries {
+                let kb = pack_key(b.0, b.1, b.2);
+                assert_eq!(ka.cmp(&kb), a.cmp(&b), "{a:?} vs {b:?}");
+                if a.1 != b.1 {
+                    // Distinct seqs: the slot never decides.
+                    assert_eq!(ka.cmp(&kb), (a.0, a.1).cmp(&(b.0, b.1)));
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds u32")]
+    fn packed_key_rejects_seq_past_u32() {
+        pack_key(SimTime(0), 1 << 32, 0);
     }
 
     /// A service that never completes requests and keeps re-arming a timer:

@@ -308,19 +308,26 @@ pub enum ScriptOp {
 }
 
 /// A [`NodeProgram`] that replays a precomputed operation list.
+///
+/// The list is read in place through a cursor, so a borrowed slice
+/// (`ScriptProgram::new(ops.as_slice())`) replays exactly like an owned
+/// `Vec` without copying the script.
 #[derive(Debug, Default)]
-pub struct ScriptProgram {
-    ops: VecDeque<ScriptOp>,
+pub struct ScriptProgram<Ops: AsRef<[ScriptOp]> = Vec<ScriptOp>> {
+    ops: Ops,
+    /// Index of the next operation to issue.
+    next: usize,
     outstanding: VecDeque<IoToken>,
-    /// When draining a `WaitAll`, how many waits remain.
+    /// Whether a `WaitAll` is still draining outstanding tokens.
     draining: bool,
 }
 
-impl ScriptProgram {
+impl<Ops: AsRef<[ScriptOp]>> ScriptProgram<Ops> {
     /// Build from an operation list.
-    pub fn new(ops: Vec<ScriptOp>) -> ScriptProgram {
+    pub fn new(ops: Ops) -> ScriptProgram<Ops> {
         ScriptProgram {
-            ops: ops.into(),
+            ops,
+            next: 0,
             outstanding: VecDeque::new(),
             draining: false,
         }
@@ -328,11 +335,11 @@ impl ScriptProgram {
 
     /// Remaining (not yet issued) operations.
     pub fn remaining(&self) -> usize {
-        self.ops.len()
+        self.ops.as_ref().len() - self.next
     }
 }
 
-impl NodeProgram for ScriptProgram {
+impl<Ops: AsRef<[ScriptOp]>> NodeProgram for ScriptProgram<Ops> {
     fn step(&mut self, _node: NodeId, resume: Resume) -> Step {
         // Record tokens from async issues.
         if let Resume::IoIssued(tok) = resume {
@@ -346,9 +353,10 @@ impl NodeProgram for ScriptProgram {
             self.draining = false;
         }
         loop {
-            let Some(op) = self.ops.pop_front() else {
+            let Some(&op) = self.ops.as_ref().get(self.next) else {
                 return Step::Done;
             };
+            self.next += 1;
             return match op {
                 ScriptOp::Compute(d) => Step::Compute(d),
                 ScriptOp::Io(req) => Step::Io(req),
@@ -475,5 +483,89 @@ mod tests {
             p.step(0, Resume::Start),
             Step::Compute(SimDuration(9))
         ));
+    }
+
+    /// Drive a script to `Done`, answering each step with the resume the
+    /// engine would give it; returns every step with the `remaining()` count
+    /// right after it.
+    fn replay<Ops: AsRef<[ScriptOp]>>(p: &mut ScriptProgram<Ops>) -> Vec<(Step, usize)> {
+        let mut log = Vec::new();
+        let mut resume = Resume::Start;
+        let mut next_token = 100;
+        loop {
+            let step = p.step(0, resume);
+            log.push((step, p.remaining()));
+            resume = match step {
+                Step::Compute(_) => Resume::Computed,
+                Step::Io(_) => Resume::IoDone(IoResult::default()),
+                Step::IoAsync(_) => {
+                    next_token += 1;
+                    Resume::IoIssued(next_token)
+                }
+                Step::IoWait(_) => Resume::IoWaited(IoResult::default()),
+                Step::Barrier(_) => Resume::BarrierDone,
+                Step::Send { .. } => Resume::Sent,
+                Step::Recv { .. } => Resume::Received(8),
+                Step::Broadcast { .. } => Resume::BroadcastDone,
+                Step::Done => return log,
+            };
+        }
+    }
+
+    #[test]
+    fn borrowed_script_replays_like_owned() {
+        let ops = vec![
+            // Waits with nothing outstanding are no-ops.
+            ScriptOp::WaitOldest,
+            ScriptOp::WaitAll,
+            ScriptOp::Compute(SimDuration(3)),
+            ScriptOp::IoAsync(IoRequest::read(1, 1)),
+            ScriptOp::IoAsync(IoRequest::read(1, 2)),
+            ScriptOp::IoAsync(IoRequest::read(1, 3)),
+            ScriptOp::WaitOldest,
+            // Drains the two tokens still outstanding.
+            ScriptOp::WaitAll,
+            ScriptOp::WaitOldest,
+            ScriptOp::Io(IoRequest::write(2, 4)),
+            ScriptOp::Barrier(0),
+            ScriptOp::Send {
+                to: 1,
+                bytes: 8,
+                tag: 7,
+            },
+            ScriptOp::Recv { from: 1, tag: 7 },
+            ScriptOp::Broadcast {
+                root: 0,
+                bytes: 16,
+                group: 0,
+            },
+            ScriptOp::IoAsync(IoRequest::read(1, 5)),
+            ScriptOp::WaitAll,
+        ];
+        let mut owned = ScriptProgram::new(ops.clone());
+        let mut borrowed = ScriptProgram::new(ops.as_slice());
+        assert_eq!(owned.remaining(), ops.len());
+        assert_eq!(borrowed.remaining(), ops.len());
+        let a = replay(&mut owned);
+        let b = replay(&mut borrowed);
+        assert_eq!(a, b);
+        let waits: Vec<Step> = a
+            .iter()
+            .map(|&(step, _)| step)
+            .filter(|step| matches!(step, Step::IoWait(_)))
+            .collect();
+        assert_eq!(
+            waits,
+            vec![
+                Step::IoWait(101),
+                Step::IoWait(102),
+                Step::IoWait(103),
+                Step::IoWait(104)
+            ]
+        );
+        assert_eq!(a.last(), Some(&(Step::Done, 0)));
+        // Done is sticky on both.
+        assert_eq!(owned.step(0, Resume::Computed), Step::Done);
+        assert_eq!(borrowed.step(0, Resume::Computed), Step::Done);
     }
 }
